@@ -3,12 +3,13 @@ inverted dropout, and Adam.
 
 The engine covers exactly the topologies this package trains: a stack of
 fully connected backbone layers feeding one or more named heads (each head its
-own stack). Parameters live in plain float64 numpy arrays; everything is
-deterministic given an explicit random generator.
+own stack). All parameters of a network live in one contiguous float64 vector
+and every layer's W and b are views into it, so the optimiser, snapshots and
+finite checks each work on one array. Everything is deterministic given an
+explicit random generator.
 """
 
 import base64
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,11 @@ from . import jsonio
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 CHECKPOINT_VERSION = 1
+
+# Elements per block of the fused Adam update. Its two scratch blocks (256 KiB
+# each) stay cache-resident, where full-length temporaries would stream
+# through memory several times per step.
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,57 @@ class DenseLayer:
 
 @dataclass
 class NetworkParams:
-    """Backbone layers plus named head stacks; the mutable state of training."""
+    """Backbone layers plus named head stacks; the mutable state of training.
+
+    The weights live in one float64 vector, ``flat``, in ``named_layers()``
+    order with each layer's W (row-major) followed by its b. The first use of
+    ``flat`` (by the optimiser, copies or checks) copies the layers' values
+    into a new vector and rebinds their W and b to views of it; from then on
+    the layers and the vector share memory. The backbone comes first, so
+    ``flat[backbone_size:]`` holds exactly the heads.
+    """
 
     backbone: list[DenseLayer]
     heads: dict[str, list[DenseLayer]]
+
+    # set by _bind: the vector, and the (W, b) views it handed out
+    _flat = np.empty(0)
+    _views = ()
+
+    def _layers(self) -> list[DenseLayer]:
+        return self.backbone + [l for h in sorted(self.heads) for l in self.heads[h]]
+
+    def _bind(self, flat: np.ndarray, fill: bool) -> None:
+        """Make every W and b a view into ``flat``, copying values in if ``fill``."""
+        pos = 0
+        for layer in self._layers():
+            for attr in ("W", "b"):
+                old = getattr(layer, attr)
+                view = flat[pos : pos + old.size].reshape(old.shape)
+                if fill:
+                    view[...] = old
+                setattr(layer, attr, view)
+                pos += old.size
+        self._flat = flat
+        self._views = tuple((l.W, l.b) for l in self._layers())
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every weight as one vector; writing to it writes the layers.
+
+        Layers or arrays replaced since the last use are packed into a new
+        vector here, so the vector never goes stale.
+        """
+        layers = self._layers()
+        if len(layers) != len(self._views) or any(
+            l.W is not W or l.b is not b for l, (W, b) in zip(layers, self._views)
+        ):
+            self._bind(np.empty(sum(l.W.size + l.b.size for l in layers)), fill=True)
+        return self._flat
+
+    @property
+    def backbone_size(self) -> int:
+        return sum(l.W.size + l.b.size for l in self.backbone)
 
     @property
     def input_dim(self) -> int:
@@ -77,16 +130,23 @@ class NetworkParams:
     def n_parameters(self) -> int:
         return sum(l.W.size + l.b.size for _, l in self.named_layers())
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            backbone=[l.copy() for l in self.backbone],
-            heads={h: [l.copy() for l in ls] for h, ls in self.heads.items()},
+    def _with_flat(self, flat: np.ndarray) -> "NetworkParams":
+        """Same layers and specs, weights viewing ``flat`` (not copied)."""
+        twin = NetworkParams(
+            backbone=[DenseLayer(l.W, l.b, l.spec) for l in self.backbone],
+            heads={h: [DenseLayer(l.W, l.b, l.spec) for l in ls] for h, ls in self.heads.items()},
         )
+        twin._bind(flat, fill=False)
+        return twin
+
+    def copy(self) -> "NetworkParams":
+        return self._with_flat(self.flat.copy())
+
+    def zeros_like(self) -> "NetworkParams":
+        return self._with_flat(np.zeros_like(self.flat))
 
     def all_finite(self) -> bool:
-        return all(
-            np.isfinite(l.W).all() and np.isfinite(l.b).all() for _, l in self.named_layers()
-        )
+        return bool(np.isfinite(self.flat).all())
 
 
 def glorot_uniform(spec: LayerSpec, rng: np.random.Generator) -> DenseLayer:
@@ -153,7 +213,7 @@ def _run_stack(
     x: np.ndarray,
     mode: str,
     rng: np.random.Generator | None,
-    caches: list[_LayerCache],
+    caches: list[_LayerCache] | None,
 ) -> np.ndarray:
     for layer in layers:
         if x.shape[1] != layer.spec.in_dim:
@@ -172,7 +232,8 @@ def _run_stack(
                 keep = 1.0 - layer.spec.dropout_rate
                 drop = (rng.random(a.shape) < keep).astype(np.float64) / keep
                 out = a * drop
-        caches.append(_LayerCache(x=x, z=z, a=a, drop=drop))
+        if caches is not None:
+            caches.append(_LayerCache(x=x, z=z, a=a, drop=drop))
         x = out
     return x
 
@@ -185,8 +246,9 @@ def forward(
 ) -> tuple[dict[str, np.ndarray], ForwardCache]:
     """Run the network; returns per-head outputs and the backward cache.
 
-    Infer mode is deterministic and dropout-free. Train mode applies inverted
-    dropout with the supplied generator.
+    Infer mode is deterministic and dropout-free, and its cache holds no layer
+    records, so it cannot be passed to ``backward``. Train mode applies
+    inverted dropout with the supplied generator.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -194,22 +256,18 @@ def forward(
     if X.ndim != 2:
         raise ValueError(f"expected a batch matrix, got ndim={X.ndim}")
     cache = ForwardCache(mode=mode)
-    trunk = _run_stack(params.backbone, X, mode, rng, cache.backbone)
+    train = mode == "train"
+    trunk = _run_stack(params.backbone, X, mode, rng, cache.backbone if train else None)
     outputs: dict[str, np.ndarray] = {}
     for head in sorted(params.heads):
-        head_caches: list[_LayerCache] = []
+        head_caches: list[_LayerCache] | None = [] if train else None
         outputs[head] = _run_stack(params.heads[head], trunk, mode, rng, head_caches)
-        cache.heads[head] = head_caches
+        if train:
+            cache.heads[head] = head_caches
     for head, out in outputs.items():
         if not np.isfinite(out).all():
             raise FloatingPointError(f"non-finite activations in head {head!r}")
     return outputs, cache
-
-
-def _zero_grads_like(layers: list[DenseLayer]) -> list[DenseLayer]:
-    return [
-        DenseLayer(W=np.zeros_like(l.W), b=np.zeros_like(l.b), spec=l.spec) for l in layers
-    ]
 
 
 def _backprop_stack(
@@ -217,9 +275,12 @@ def _backprop_stack(
     caches: list[_LayerCache],
     delta: np.ndarray,
     grads: list[DenseLayer],
-) -> np.ndarray:
-    """Propagate dL/d(stack output) to dL/d(stack input), accumulating grads."""
-    for layer, c, g in zip(reversed(layers), reversed(caches), reversed(grads)):
+    input_grad: bool,
+) -> np.ndarray | None:
+    """Propagate dL/d(stack output) back through the stack, writing each
+    layer's grads; returns dL/d(stack input), or None unless ``input_grad``."""
+    for k in reversed(range(len(layers))):
+        layer, c, g = layers[k], caches[k], grads[k]
         if delta.shape != c.a.shape:
             raise ValueError(
                 f"upstream gradient shape {delta.shape} does not match activations {c.a.shape}"
@@ -227,8 +288,10 @@ def _backprop_stack(
         if c.drop is not None:
             delta = delta * c.drop
         delta = delta * _activation_grad(layer.spec.activation, c.z, c.a)
-        g.W += delta.T @ c.x
-        g.b += delta.sum(axis=0)
+        np.matmul(delta.T, c.x, out=g.W)
+        np.sum(delta, axis=0, out=g.b)
+        if k == 0 and not input_grad:
+            return None
         delta = delta @ layer.W
     return delta
 
@@ -237,84 +300,120 @@ def backward(
     params: NetworkParams,
     cache: ForwardCache,
     upstream: dict[str, np.ndarray],
+    backbone: bool = True,
 ) -> NetworkParams:
-    """Reverse-mode gradients for every parameter.
+    """Reverse-mode gradients for every parameter, as one flat vector.
 
     ``upstream`` maps head name to dLoss/d(head output); heads absent from it
     contribute nothing. Backbone gradients sum the contributions of all heads.
+    With ``backbone=False`` nothing is propagated into the backbone and its
+    gradients stay zero, which is what frozen fine-tuning needs.
     """
-    grads = NetworkParams(
-        backbone=_zero_grads_like(params.backbone),
-        heads={h: _zero_grads_like(ls) for h, ls in params.heads.items()},
-    )
-    if cache.backbone:
+    if cache.mode != "train":
+        raise ValueError(
+            f"backward needs the cache of a train-mode forward, got mode {cache.mode!r}"
+        )
+    grads = params.zeros_like()
+    into_backbone = backbone and bool(params.backbone)
+    if into_backbone:
         trunk_delta = np.zeros_like(cache.backbone[-1].a)
-    else:
-        any_head = next(iter(cache.heads.values()))
-        trunk_delta = np.zeros_like(any_head[0].x)
     for head, delta in upstream.items():
         if head not in params.heads:
             raise KeyError(f"unknown head {head!r}")
-        trunk_delta = trunk_delta + _backprop_stack(
+        head_delta = _backprop_stack(
             params.heads[head], cache.heads[head], np.asarray(delta, dtype=np.float64),
-            grads.heads[head],
+            grads.heads[head], input_grad=into_backbone,
         )
-    _backprop_stack(params.backbone, cache.backbone, trunk_delta, grads.backbone)
+        if into_backbone:
+            trunk_delta = trunk_delta + head_delta
+    if into_backbone:
+        _backprop_stack(params.backbone, cache.backbone, trunk_delta, grads.backbone,
+                        input_grad=False)
     return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like NetworkParams."""
+    """First/second moment accumulators, flat and aligned with NetworkParams.flat."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(cls, params: NetworkParams, learning_rate: float = 1e-3) -> "AdamState":
-        state = cls(learning_rate=learning_rate)
-        for path, layer in params.named_layers():
-            state.m[f"{path}.W"] = np.zeros_like(layer.W)
-            state.v[f"{path}.W"] = np.zeros_like(layer.W)
-            state.m[f"{path}.b"] = np.zeros_like(layer.b)
-            state.v[f"{path}.b"] = np.zeros_like(layer.b)
-        return state
+        n = params.flat.size
+        return cls(learning_rate=learning_rate, m=np.zeros(n), v=np.zeros(n))
+
+
+def _layout(params: NetworkParams) -> list[tuple[str, tuple, tuple]]:
+    return [(path, l.W.shape, l.b.shape) for path, l in params.named_layers()]
+
+
+def _first_non_finite(grads: NetworkParams, backbone: bool) -> str:
+    """The first non-finite gradient in path order, as ``path.W`` or ``path.b``."""
+    for path, layer in sorted(grads.named_layers(), key=lambda item: item[0]):
+        if backbone or not path.startswith("backbone."):
+            for attr in ("W", "b"):
+                if not np.isfinite(getattr(layer, attr)).all():
+                    return f"{path}.{attr}"
+    raise AssertionError("no non-finite gradient found")
 
 
 def adam_step(
     params: NetworkParams,
     grads: NetworkParams,
     state: AdamState,
+    backbone: bool = True,
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update, in place; returns (params, state)."""
-    named_params = dict(params.named_layers())
-    named_grads = dict(grads.named_layers())
-    if named_params.keys() != named_grads.keys():
+    """One bias-corrected Adam update, in place; returns (params, state).
+
+    The update runs over the flat vectors in blocks of ``ADAM_BLOCK``, with
+    the per-element operation order of the textbook update, so results do
+    not depend on the blocking. With ``backbone=False`` the backbone's
+    weights and moments are left untouched; for a zero backbone gradient
+    that is exactly what the full update does. A non-finite gradient raises
+    before anything changes.
+    """
+    if _layout(params) != _layout(grads):
         raise ValueError("gradient structure does not match parameters")
+    p, g = params.flat, grads.flat
+    if state.m.shape != p.shape or state.v.shape != p.shape:
+        raise ValueError("Adam state does not match parameters")
+    start = 0 if backbone else params.backbone_size
+    if not np.isfinite(g[start:]).all():
+        raise FloatingPointError(f"non-finite gradient for {_first_non_finite(grads, backbone)}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for path, layer in sorted(named_params.items()):
-        g_layer = named_grads[path]
-        for attr, g in (("W", g_layer.W), ("b", g_layer.b)):
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for {path}.{attr}")
-            key = f"{path}.{attr}"
-            m = state.m[key]
-            v = state.v[key]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            target = getattr(layer, attr)
-            target -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    lr, eps = state.learning_rate, state.epsilon
+    scratch = np.empty((2, min(ADAM_BLOCK, p.size - start)))
+    for lo in range(start, p.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, p.size)
+        gb, mb, vb, pb = g[lo:hi], state.m[lo:hi], state.v[lo:hi], p[lo:hi]
+        s, u = scratch[0, : hi - lo], scratch[1, : hi - lo]
+        # m = b1*m + (1-b1)*g
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, 1.0 - b1, out=s)
+        np.add(mb, s, out=mb)
+        # v = b2*v + ((1-b2)*g)*g
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, 1.0 - b2, out=s)
+        np.multiply(s, gb, out=s)
+        np.add(vb, s, out=vb)
+        # p -= (lr*m_hat) / (sqrt(v_hat) + eps)
+        np.divide(vb, c2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, eps, out=s)
+        np.divide(mb, c1, out=u)
+        np.multiply(u, lr, out=u)
+        np.divide(u, s, out=u)
+        np.subtract(pb, u, out=pb)
     return params, state
 
 
@@ -371,7 +470,3 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         else:
             heads.setdefault(group, []).append(layer)
     return NetworkParams(backbone=backbone, heads=heads), doc.get("extra", {})
-
-
-def clone_params(params: NetworkParams) -> NetworkParams:
-    return copy.deepcopy(params)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import jsonio, nn_core
 from .data_model import SplitAssignment, TabularDataset
-from .masked_loss import MaskedBatch, combined_loss, masked_bce, masked_mse
+from .masked_loss import MaskedBatch, masked_bce, masked_mse
 from .nn_core import AdamState, DenseLayer, LayerSpec, NetworkParams
 from .preprocess import split_blocks
 
@@ -172,12 +172,6 @@ def _supervised_losses(
     return weights[0] * mse + weights[1] * bce, mse, bce
 
 
-def _zero_layer_grads(layers: list[DenseLayer]) -> None:
-    for layer in layers:
-        layer.W[:] = 0.0
-        layer.b[:] = 0.0
-
-
 def _train_supervised(
     params: NetworkParams,
     ds: TabularDataset,
@@ -203,27 +197,28 @@ def _train_supervised(
     best_val = np.inf
     wait = 0
     base_order = np.arange(fit_rows.size)
+    w_mse, w_bce = cfg.loss_weights
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(fit_rows.size) if cfg.shuffle else base_order
         ep_mse = ep_bce = ep_comb = 0.0
         for batch in _batches(fit_rows.size, cfg.batch_size, order):
             out, cache = nn_core.forward(params, X_fit[batch], mode="train", rng=rng)
-            total, g_cont, g_bin = combined_loss(
-                MaskedBatch(y=yc_fit[batch], y_hat=out["cont"], m=m_fit[batch]),
-                MaskedBatch(y=yb_fit[batch], y_hat=out["bin"], m=m_fit[batch]),
-                weights=cfg.loss_weights,
-            )
+            # combined_loss's weighted sum, keeping the parts for the history
+            mse, g_cont = masked_mse(MaskedBatch(y=yc_fit[batch], y_hat=out["cont"], m=m_fit[batch]))
+            bce, g_bin = masked_bce(MaskedBatch(y=yb_fit[batch], y_hat=out["bin"], m=m_fit[batch]))
+            total = w_mse * mse + w_bce * bce
             if not np.isfinite(total):
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch}: {total!r}"
                 )
-            grads = nn_core.backward(params, cache, {"cont": g_cont, "bin": g_bin})
-            if freeze_backbone:
-                _zero_layer_grads(grads.backbone)
-            nn_core.adam_step(params, grads, state)
-            mse, _ = masked_mse(MaskedBatch(y=yc_fit[batch], y_hat=out["cont"], m=m_fit[batch]))
-            bce, _ = masked_bce(MaskedBatch(y=yb_fit[batch], y_hat=out["bin"], m=m_fit[batch]))
+            # a frozen backbone gets no gradient and no Adam update: with a zero
+            # gradient the full update would leave its weights and moments as they are
+            grads = nn_core.backward(
+                params, cache, {"cont": w_mse * g_cont, "bin": w_bce * g_bin},
+                backbone=not freeze_backbone,
+            )
+            nn_core.adam_step(params, grads, state, backbone=not freeze_backbone)
             w = batch.size / fit_rows.size
             ep_mse += w * mse
             ep_bce += w * bce
@@ -245,7 +240,7 @@ def _train_supervised(
         if val_comb < best_val:
             best_val = val_comb
             history.best_epoch = epoch
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             wait = 0
         else:
             wait += 1
@@ -360,7 +355,7 @@ def pretrain_autoencoder(
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             wait = 0
         else:
             wait += 1

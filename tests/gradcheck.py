@@ -30,10 +30,15 @@ def set_flat(params, vec):
     assert pos == vec.size
 
 
-def relu_margin(params, x, mode="infer", rng_factory=None) -> float:
-    """Smallest |pre-activation| over all relu layers for this input."""
+def relu_margin(params, x, rng_factory=None) -> float:
+    """Smallest |pre-activation| over all relu layers for this input.
+
+    Reads the cache of a train-mode pass, the only mode that keeps one. Dropout
+    masks come from ``rng_factory``; without it the network must be
+    dropout-free, where train mode computes what infer mode does.
+    """
     rng = rng_factory() if rng_factory is not None else None
-    _, cache = forward(params, x, mode=mode, rng=rng)
+    _, cache = forward(params, x, mode="train", rng=rng)
     stacks = [(params.backbone, cache.backbone)]
     stacks += [(params.heads[h], cache.heads[h]) for h in params.heads]
     margins = [

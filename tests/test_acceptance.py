@@ -123,7 +123,7 @@ def test_c01_gradient_oracle(check):
             )
             return total
 
-        out, cache = forward(params, x)
+        out, cache = forward(params, x, mode="train")
         _, g_cont, g_bin = combined_loss(
             MaskedBatch(y=yc, y_hat=out["cont"], m=m),
             MaskedBatch(y=yb, y_hat=out["bin"], m=m),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff_wrt_params, flatten, max_rel_err, relu_margin, set_flat
+from masktab import nn_core
 from masktab.nn_core import (
     AdamState,
     DenseLayer,
@@ -98,7 +99,7 @@ class TestBackward:
         checked = 0
         for seed in range(6):
             params, x, targets = self._instance(seed)
-            out, cache = forward(params, x)
+            out, cache = forward(params, x, mode="train")
             upstream = {"cont": out["cont"] - targets, "bin": np.ones_like(out["bin"])}
             grads = backward(params, cache, upstream)
             fd = central_diff_wrt_params(lambda p: self.loss_of(p, x, targets), params)
@@ -109,14 +110,21 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         params = small_network()
         x = np.random.default_rng(0).standard_normal((3, 5))
-        out, cache = forward(params, x)
+        out, cache = forward(params, x, mode="train")
         grads = backward(params, cache, {h: np.zeros_like(o) for h, o in out.items()})
         assert np.all(flatten(grads) == 0.0)
+
+    def test_infer_cache_rejected(self):
+        params = small_network()
+        out, cache = forward(params, np.zeros((2, 5)), mode="infer")
+        assert cache.backbone == [] and cache.heads == {}
+        with pytest.raises(ValueError, match="train-mode forward"):
+            backward(params, cache, {"cont": np.ones_like(out["cont"])})
 
     def test_backbone_grads_sum_over_heads(self):
         params = small_network(seed=1)
         x = np.random.default_rng(1).standard_normal((3, 5))
-        out, cache = forward(params, x)
+        out, cache = forward(params, x, mode="train")
         up_cont = {"cont": np.ones_like(out["cont"]), "bin": np.zeros_like(out["bin"])}
         up_bin = {"cont": np.zeros_like(out["cont"]), "bin": np.ones_like(out["bin"])}
         up_both = {"cont": np.ones_like(out["cont"]), "bin": np.ones_like(out["bin"])}
@@ -138,7 +146,7 @@ class TestBackward:
             params = small_network(seed=200 + attempt, dropout=0.3)
             x = np.random.default_rng((5, attempt)).standard_normal((4, 5))
             factory = lambda: np.random.default_rng(77)
-            if relu_margin(params, x, mode="train", rng_factory=factory) > 1e-3:
+            if relu_margin(params, x, rng_factory=factory) > 1e-3:
                 break
         else:
             raise AssertionError("no kink-free instance found")
@@ -197,8 +205,150 @@ class TestAdam:
         params = self.scalar_params()
         grads = self.scalar_params(np.nan)
         state = AdamState.for_params(params)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match=r"for out\.0\.W$"):
             adam_step(params, grads, state)
+        # names the first non-finite array in sorted path order ("aux.0"
+        # before "backbone.0"), and leaves parameters and state untouched
+        def unit():
+            return DenseLayer(W=np.ones((1, 1)), b=np.ones(1), spec=LayerSpec(1, 1))
+
+        params = NetworkParams(backbone=[unit()], heads={"aux": [unit()]})
+        grads = params.zeros_like()
+        grads.backbone[0].W[0, 0] = np.inf
+        grads.heads["aux"][0].b[0] = np.nan
+        state = AdamState.for_params(params)
+        with pytest.raises(FloatingPointError, match=r"for aux\.0\.b$"):
+            adam_step(params, grads, state)
+        assert np.array_equal(params.flat, np.ones(4))
+        assert state.step == 0 and not state.m.any() and not state.v.any()
+        # a frozen step ignores the backbone, which it does not update
+        grads.heads["aux"][0].b[0] = 1.0
+        adam_step(params, grads, state, backbone=False)
+        assert state.step == 1 and params.backbone[0].W[0, 0] == 1.0
+
+
+def reference_adam_step(params, grads, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-key Adam loop that the flat fused update replaced, as an oracle.
+
+    ``m`` and ``v`` map "<path>.<W|b>" to moment arrays; updates in place.
+    """
+    named_grads = dict(grads.named_layers())
+    for path, layer in sorted(params.named_layers(), key=lambda item: item[0]):
+        for attr in ("W", "b"):
+            g = getattr(named_grads[path], attr)
+            key = f"{path}.{attr}"
+            m[key] *= b1
+            m[key] += (1.0 - b1) * g
+            v[key] *= b2
+            v[key] += (1.0 - b2) * g * g
+            m_hat = m[key] / (1.0 - b1**t)
+            v_hat = v[key] / (1.0 - b2**t)
+            target = getattr(layer, attr)
+            target -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def flatten_moments(params, moments):
+    return np.concatenate([
+        np.concatenate([moments[f"{path}.W"].ravel(), moments[f"{path}.b"].ravel()])
+        for path, _ in params.named_layers()
+    ])
+
+
+class TestFlatAdamMatchesReference:
+    def train_pair(self, steps):
+        """Train one network with adam_step and a twin with the oracle, each
+        from its own forward/backward with identical dropout streams."""
+        fused, oracle = small_network(seed=3, dropout=0.3), small_network(seed=3, dropout=0.3)
+        state = AdamState.for_params(fused)
+        m = {f"{p}.{a}": np.zeros_like(getattr(l, a)) for p, l in oracle.named_layers() for a in "Wb"}
+        v = {k: np.zeros_like(a) for k, a in m.items()}
+        rng_f, rng_o = np.random.default_rng(11), np.random.default_rng(11)
+        x = np.random.default_rng(12).standard_normal((8, 5))
+        target = np.random.default_rng(13).standard_normal((8, 2))
+        for t in range(1, steps + 1):
+            for params, rng in ((fused, rng_f), (oracle, rng_o)):
+                out, cache = forward(params, x, mode="train", rng=rng)
+                grads = backward(params, cache, {"cont": out["cont"] - target,
+                                                 "bin": out["bin"] - 0.5})
+                if params is fused:
+                    adam_step(params, grads, state)
+                else:
+                    reference_adam_step(params, grads, m, v, t)
+        return fused, oracle, state, m, v
+
+    @pytest.mark.parametrize("block", [nn_core.ADAM_BLOCK, 7])
+    def test_bit_identical_to_per_key_loop(self, block, monkeypatch):
+        monkeypatch.setattr(nn_core, "ADAM_BLOCK", block)
+        fused, oracle, state, m, v = self.train_pair(60)
+        assert state.step == 60
+        assert not np.array_equal(fused.flat, small_network(seed=3, dropout=0.3).flat)
+        assert np.array_equal(fused.flat, flatten(oracle))
+        assert np.array_equal(state.m, flatten_moments(oracle, m))
+        assert np.array_equal(state.v, flatten_moments(oracle, v))
+
+    def test_frozen_step_matches_zeroed_backbone_gradient(self):
+        skip, full = small_network(seed=5, dropout=0.2), small_network(seed=5, dropout=0.2)
+        encoder = skip.flat[: skip.backbone_size].copy()
+        s_skip, s_full = AdamState.for_params(skip), AdamState.for_params(full)
+        rng_s, rng_f = np.random.default_rng(1), np.random.default_rng(1)
+        x = np.random.default_rng(2).standard_normal((6, 5))
+        for _ in range(50):
+            out, cache = forward(skip, x, mode="train", rng=rng_s)
+            grads = backward(skip, cache, {"cont": out["cont"] - 1.0, "bin": out["bin"]},
+                             backbone=False)
+            assert not grads.flat[: skip.backbone_size].any()
+            adam_step(skip, grads, s_skip, backbone=False)
+
+            out, cache = forward(full, x, mode="train", rng=rng_f)
+            grads = backward(full, cache, {"cont": out["cont"] - 1.0, "bin": out["bin"]})
+            for layer in grads.backbone:
+                layer.W[:] = 0.0
+                layer.b[:] = 0.0
+            adam_step(full, grads, s_full)
+        assert np.array_equal(skip.flat, full.flat)
+        assert np.array_equal(skip.flat[: skip.backbone_size], encoder)
+        assert np.array_equal(s_skip.m, s_full.m) and np.array_equal(s_skip.v, s_full.v)
+
+
+class TestFlatStorage:
+    def test_layers_are_views_of_one_vector(self):
+        params = small_network(seed=2)
+        values = flatten(params)
+        flat = params.flat
+        assert np.array_equal(flat, values)
+        for _, layer in params.named_layers():
+            assert np.shares_memory(layer.W, flat) and np.shares_memory(layer.b, flat)
+        flat[0] = 42.0
+        assert params.backbone[0].W[0, 0] == 42.0
+        twin = params.copy()
+        twin.flat[0] = -1.0
+        assert params.backbone[0].W[0, 0] == 42.0
+        assert params.backbone_size == sum(l.W.size + l.b.size for l in params.backbone)
+
+    def test_replaced_layer_is_packed_again(self):
+        params = small_network(seed=2)
+        old_flat = params.flat
+        new = DenseLayer(W=np.full((2, 3), 0.5), b=np.ones(2), spec=LayerSpec(3, 2, "relu"))
+        params.heads["cont"] = [new]
+        flat = params.flat
+        assert flat is not old_flat and np.array_equal(flat, flatten(params))
+        assert np.shares_memory(params.heads["cont"][0].W, flat)
+
+    def test_hand_built_headless_backbone_trains(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((32, 3))
+        y = x @ np.array([[1.0], [-2.0], [0.5]]) + 0.25
+        layer = DenseLayer(W=np.zeros((1, 3)), b=np.zeros(1), spec=LayerSpec(3, 1, "linear"))
+        params = NetworkParams(backbone=[], heads={"out": [layer]})
+        state = AdamState.for_params(params, learning_rate=0.05)
+        losses = []
+        for _ in range(200):
+            out, cache = forward(params, x, mode="train")
+            diff = out["out"] - y
+            losses.append(float((diff * diff).mean()))
+            adam_step(params, backward(params, cache, {"out": 2.0 * diff / diff.size}), state)
+        assert losses[-1] < 0.01 * losses[0]
+        assert params.heads["out"][0] is layer
 
 
 class TestDeterminismAndCheckpoint:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import flatten
+from masktab import nn_core
 from masktab.masked_loss import MaskedBatch, masked_bce, masked_mse
 from masktab.preprocess import preprocess_raw
 from masktab.synthgen import SynthConfig, generate
@@ -161,6 +162,33 @@ class TestFinetune:
         for (w0, b0), layer in zip(before, params.backbone):
             assert np.array_equal(w0, layer.W)
             assert np.array_equal(b0, layer.b)
+
+    def test_frozen_matches_full_update_with_zeroed_backbone_grads(self, planted, monkeypatch):
+        # frozen fine-tuning skips backprop into the backbone and Adam on it;
+        # the path it replaced ran both in full on zeroed backbone gradients
+        ds, split = planted
+        encoder = self.make_encoder(ds)
+        cfg = quick_cfg(finetune_mode="frozen", max_epochs=8, patience=8)
+        params, hist = finetune(encoder, ds, split, cfg)
+
+        full_backward, full_adam = nn_core.backward, nn_core.adam_step
+        calls = []
+
+        def zeroed_backward(p, cache, upstream, backbone=True):
+            calls.append(backbone)
+            grads = full_backward(p, cache, upstream)
+            if not backbone:
+                for layer in grads.backbone:
+                    layer.W[:] = 0.0
+                    layer.b[:] = 0.0
+            return grads
+
+        monkeypatch.setattr(nn_core, "backward", zeroed_backward)
+        monkeypatch.setattr(nn_core, "adam_step", lambda p, g, s, backbone=True: full_adam(p, g, s))
+        old_params, old_hist = finetune(encoder, ds, split, cfg)
+        assert calls and not any(calls)
+        assert np.array_equal(params.flat, old_params.flat)
+        assert hist.to_dict() == old_hist.to_dict()
 
     def test_unfrozen_updates_encoder(self, planted):
         ds, split = planted
