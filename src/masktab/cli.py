@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__, jsonio, nn_core, trainer, vimp
 from .data_model import (
+    RawTable,
     SplitAssignment,
     load_dataset,
     load_raw_table,
@@ -29,8 +30,8 @@ from .data_model import (
 from .metrics import METRIC_NAMES, EvalReport, evaluate_predictions, winner_ranking
 from .preprocess import preprocess_raw
 from .synthgen import SynthConfig, generate
-from .trainer import MODEL_KINDS, TrainConfig, train_model
-from .vimp import importance_report
+from .trainer import MODEL_KINDS, TrainConfig, TrainHistory, train_model
+from .vimp import IMPORTANCE_MODES, importance_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,14 +55,11 @@ def derive_seed(global_seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def resolve_seed(configured: int) -> int:
+def resolve_seed(configured) -> int:
+    """The configured seed as an integer, unless MASKTAB_SEED overrides it."""
+    seed = _parse_config(int, configured, "seed")
     env = os.environ.get("MASKTAB_SEED")
-    if env is None:
-        return configured
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"MASKTAB_SEED is not an integer: {env!r}") from exc
+    return seed if env is None else _parse_config(int, env, "MASKTAB_SEED")
 
 
 def _load_json(path, what: str) -> dict:
@@ -96,43 +94,49 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _parse_config(parse, value, what: str):
+    """parse(value), with a value it rejects reported as a config error."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _importance_settings(mode, repeats) -> tuple[str, int]:
+    if mode not in IMPORTANCE_MODES:
+        raise ConfigError(f"unknown importance mode {mode!r}; expected one of {IMPORTANCE_MODES}")
+    n_repeats = _parse_config(int, repeats, "importance repeats")
+    if n_repeats < 1:
+        raise ConfigError(f"importance repeats must be >= 1, got {n_repeats}")
+    return mode, n_repeats
+
+
 # ---------------------------------------------------------------------------
-# Individual commands
+# Stage bodies, shared by the commands and the pipeline
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    cfg_dict = _load_json(args.config, "synthesis config") if args.config else {}
+def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
     try:
-        cfg = SynthConfig.from_dict(cfg_dict)
-        cfg.seed = resolve_seed(cfg.seed)
         raw = generate(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    save_raw_table(raw, args.out)
-    print(f"generate: wrote raw table ({raw.n_samples} samples) to {args.out}")
-    return EXIT_OK
+    save_raw_table(raw, out)
+    return raw
 
 
-def cmd_preprocess(args) -> int:
-    raw_dir = _require_dir(args.inp, "raw table directory", "run `masktab generate` first")
+def _preprocess_and_save(raw_dir, out, test_fraction: float, val_fraction: float, seed: int):
     raw = load_raw_table(raw_dir)
-    seed = resolve_seed(args.seed)
     try:
         ds, split, report = preprocess_raw(
-            raw, test_fraction=args.test_fraction,
-            val_fraction_of_train=args.val_fraction, seed=seed,
+            raw, test_fraction=test_fraction, val_fraction_of_train=val_fraction, seed=seed,
         )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    out = Path(args.out)
+    out = Path(out)
     save_dataset(ds, out)
     split.save(out / "split.json")
     report.save(out / "preprocess_report.json")
-    print(
-        f"preprocess: {ds.n_samples} rows, {ds.n_features} encoded columns, "
-        f"{len(split.test_rows)} test rows -> {out}"
-    )
-    return EXIT_OK
+    return ds, split
 
 
 def _load_dataset_and_split(dataset_dir, split_path):
@@ -146,25 +150,74 @@ def _load_dataset_and_split(dataset_dir, split_path):
     return ds, split
 
 
+def _history_path(ckpt: Path) -> Path:
+    return ckpt.parent / f"{ckpt.stem}_history.json"
+
+
+def _train_and_save(ds, split, cfg: TrainConfig, model: str, out) -> TrainHistory:
+    params, history = train_model(ds, split, cfg, model)
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    nn_core.save_checkpoint(params, out, extra={"model": model, "seed": cfg.seed})
+    history.save(_history_path(out))
+    return history
+
+
+def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
+    params, _ = nn_core.load_checkpoint(ckpt)
+    rows = split.test_rows
+    cont_hat, bin_prob = trainer.predict(params, ds.X[rows])
+    report = evaluate_predictions(
+        ds.Y_cont[rows], ds.Y_bin[rows], ds.M[rows], cont_hat, bin_prob,
+        ds.response_names, threshold=threshold,
+    )
+    report.save(out)
+    return report
+
+
+def _importance_and_save(ds, split, ckpt, mode: str, repeats: int, seed: int, out):
+    params, _ = nn_core.load_checkpoint(ckpt)
+    report = importance_report(
+        params, ds, split.test_rows, mode=mode, n_repeats=repeats, seed=seed,
+    )
+    report.save(out)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Individual commands
+# ---------------------------------------------------------------------------
+
+def cmd_generate(args) -> int:
+    cfg_dict = _load_json(args.config, "synthesis config") if args.config else {}
+    cfg = _parse_config(SynthConfig.from_dict, cfg_dict, "synthesis config")
+    cfg.seed = resolve_seed(cfg.seed)
+    raw = _generate_and_save(cfg, args.out)
+    print(f"generate: wrote raw table ({raw.n_samples} samples) to {args.out}")
+    return EXIT_OK
+
+
+def cmd_preprocess(args) -> int:
+    raw_dir = _require_dir(args.inp, "raw table directory", "run `masktab generate` first")
+    seed = resolve_seed(args.seed)
+    ds, split = _preprocess_and_save(raw_dir, args.out, args.test_fraction, args.val_fraction, seed)
+    print(
+        f"preprocess: {ds.n_samples} rows, {ds.n_features} encoded columns, "
+        f"{len(split.test_rows)} test rows -> {args.out}"
+    )
+    return EXIT_OK
+
+
 def cmd_train(args) -> int:
     ds, split = _load_dataset_and_split(args.dataset, args.split)
     cfg_dict = _load_json(args.config, "train config") if args.config else {}
-    try:
-        cfg = TrainConfig.from_dict(cfg_dict)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
+    cfg = _parse_config(TrainConfig.from_dict, cfg_dict, "train config")
     cfg.seed = resolve_seed(cfg.seed)
-    if args.model not in MODEL_KINDS:
-        raise ConfigError(f"unknown model {args.model!r}; expected one of {MODEL_KINDS}")
-    params, history = train_model(ds, split, cfg, args.model)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    nn_core.save_checkpoint(params, out, extra={"model": args.model, "seed": cfg.seed})
-    history.save(out.parent / f"{out.stem}_history.json")
+    history = _train_and_save(ds, split, cfg, args.model, args.out)
     print(
         f"train[{args.model}]: stopped at epoch {history.stopped_epoch}, "
         f"best epoch {history.best_epoch}, best val loss "
-        f"{history.best_val_loss:.6f} -> {out}"
+        f"{history.best_val_loss:.6f} -> {args.out}"
     )
     return EXIT_OK
 
@@ -172,14 +225,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ds, split = _load_dataset_and_split(args.dataset, args.split)
     ckpt = _require_file(args.ckpt, "checkpoint", "run `masktab train` first")
-    params, _ = nn_core.load_checkpoint(ckpt)
-    rows = split.test_rows
-    cont_hat, bin_prob = trainer.predict(params, ds.X[rows])
-    report = evaluate_predictions(
-        ds.Y_cont[rows], ds.Y_bin[rows], ds.M[rows], cont_hat, bin_prob,
-        ds.response_names, threshold=args.threshold,
-    )
-    report.save(args.out)
+    report = _evaluate_and_save(ds, split, ckpt, args.threshold, args.out)
     avg = report.averages()
     shown = ", ".join(
         f"{k}={avg[k]:.4f}" if avg[k] is not None else f"{k}=n/a" for k in METRIC_NAMES
@@ -191,16 +237,13 @@ def cmd_evaluate(args) -> int:
 def cmd_importance(args) -> int:
     ds, split = _load_dataset_and_split(args.dataset, args.split)
     ckpt = _require_file(args.ckpt, "checkpoint", "run `masktab train` first")
-    params, _ = nn_core.load_checkpoint(ckpt)
+    mode, repeats = _importance_settings(args.mode, args.repeats)
     seed = resolve_seed(args.seed)
-    report = importance_report(
-        params, ds, split.test_rows, mode=args.mode, n_repeats=args.repeats, seed=seed,
-    )
-    report.save(args.out)
+    report = _importance_and_save(ds, split, ckpt, mode, repeats, seed, args.out)
     ranking = vimp.rank_importance(report)
     top = ranking["regression"][:3]
     shown = ", ".join(f"{e['group']} (+{e['importance_pct']:.1f}%)" for e in top)
-    print(f"importance[{args.mode}]: top regression groups: {shown} -> {args.out}")
+    print(f"importance[{mode}]: top regression groups: {shown} -> {args.out}")
     return EXIT_OK
 
 
@@ -219,20 +262,7 @@ def build_report(artifact_dir) -> tuple[dict, str]:
     if not eval_files:
         raise DataError(f"no eval_*.json artifacts in {art} (run `masktab evaluate` first)")
     reports = {p.stem[len("eval_"):]: EvalReport.load(p) for p in eval_files}
-    if len(reports) >= 2:
-        ranking = winner_ranking(reports)
-    else:
-        only = next(iter(reports))
-        ranking = {
-            "version": 1,
-            "total_pairs": sum(
-                1 for r in reports[only].per_response for m in METRIC_NAMES
-                if r.metric(m) is not None
-            ),
-            "wins": {only: None},
-            "win_percentages": {only: 100.0},
-            "ties": [],
-        }
+    ranking = winner_ranking(reports)
     rows = []
     for name in sorted(reports):
         avg = reports[name].averages()
@@ -299,8 +329,9 @@ DEFAULT_PIPELINE = {
 
 
 class _Manifest:
-    def __init__(self, path: Path, global_seed: int, stage_seeds: dict[str, int]):
-        self.path = path
+    def __init__(self, root: Path, global_seed: int, stage_seeds: dict[str, int]):
+        self.root = root
+        self.path = root / "manifest.json"
         self.doc = {
             "version": 1,
             "package_version": __version__,
@@ -309,9 +340,9 @@ class _Manifest:
             "stages": {},
             "completed": [],
         }
-        if path.exists():
+        if self.path.exists():
             try:
-                existing = jsonio.load(path)
+                existing = jsonio.load(self.path)
                 if (
                     existing.get("global_seed") == global_seed
                     and existing.get("stage_seeds") == stage_seeds
@@ -321,21 +352,21 @@ class _Manifest:
             except Exception:
                 pass  # stale manifest; rebuild from scratch
 
-    def stage_is_current(self, name: str, config_fp: str, root: Path) -> bool:
+    def stage_is_current(self, name: str, config_fp: str) -> bool:
         rec = self.doc["stages"].get(name)
         if not rec or rec.get("config") != config_fp:
             return False
         for rel, digest in rec.get("outputs", {}).items():
-            p = root / rel
+            p = self.root / rel
             if not p.is_file() or sha256_file(p) != digest:
                 return False
         return True
 
-    def record(self, name: str, config_fp: str, outputs: list[Path], root: Path) -> None:
+    def record(self, name: str, config_fp: str, outputs: list[Path]) -> None:
         rec = {
             "config": config_fp,
             "outputs": {
-                str(p.relative_to(root)): sha256_file(p) for p in sorted(outputs)
+                str(p.relative_to(self.root)): sha256_file(p) for p in sorted(outputs)
             },
         }
         self.doc["stages"][name] = rec
@@ -362,16 +393,29 @@ def _stage_scope(name: str):
         raise DataError(f"stage '{name}' failed: {exc}") from exc
 
 
+def _run_stage(manifest: _Manifest, force: bool, name: str, config_fp: str,
+               outputs: list[Path], run) -> None:
+    """Run a pipeline stage unless its config and outputs are current, then record it."""
+    if force or not manifest.stage_is_current(name, config_fp):
+        with _stage_scope(name):
+            run()
+        manifest.record(name, config_fp, outputs)
+
+
 def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     """Run generate -> preprocess -> train -> evaluate -> importance -> report.
 
-    Completed stages with unchanged config and intact outputs are skipped
-    unless force is set. Returns the artifact directory.
+    Every setting is parsed before the first stage runs. Completed stages with
+    unchanged config and intact outputs are skipped unless force is set.
+    Returns the artifact directory.
     """
     cfg = {**DEFAULT_PIPELINE, **config}
     unknown = set(cfg) - set(DEFAULT_PIPELINE)
     if unknown:
         raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
+    for key in ("synth", "preprocess", "train", "importance"):
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"pipeline config {key!r} must be an object, got {cfg[key]!r}")
     models = list(cfg["models"])
     for m in models:
         if m not in MODEL_KINDS:
@@ -379,133 +423,108 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     if not models:
         raise ConfigError("pipeline config lists no models")
 
-    global_seed = resolve_seed(int(cfg["seed"]))
+    global_seed = resolve_seed(cfg["seed"])
     stage_seeds = {
         "generate": derive_seed(global_seed, "generate"),
         "preprocess": derive_seed(global_seed, "preprocess"),
         **{f"train:{m}": derive_seed(global_seed, f"train:{m}") for m in models},
         "importance": derive_seed(global_seed, "importance"),
     }
+    synth_cfg = _parse_config(SynthConfig.from_dict, dict(cfg["synth"]), "synthesis config")
+    synth_cfg.seed = stage_seeds["generate"]
+    pre_cfg = {**DEFAULT_PIPELINE["preprocess"], **dict(cfg["preprocess"])}
+    test_fraction = _parse_config(float, pre_cfg["test_fraction"], "test_fraction")
+    val_fraction = _parse_config(float, pre_cfg["val_fraction_of_train"], "val_fraction_of_train")
+    train_cfgs = {}
+    for m in models:
+        train_cfgs[m] = _parse_config(TrainConfig.from_dict, dict(cfg["train"]), "train config")
+        train_cfgs[m].seed = stage_seeds[f"train:{m}"]
+    imp_cfg = {**DEFAULT_PIPELINE["importance"], **dict(cfg["importance"])}
+    imp_mode, imp_repeats = _importance_settings(imp_cfg["mode"], imp_cfg["repeats"])
+    threshold = _parse_config(float, cfg["threshold"], "threshold")
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(root / "manifest.json", global_seed, stage_seeds)
-
-    # generate
-    synth_cfg = SynthConfig.from_dict(dict(cfg["synth"]))
-    synth_cfg.seed = stage_seeds["generate"]
-    gen_fp = _fingerprint(synth_cfg.to_dict())
+    manifest = _Manifest(root, global_seed, stage_seeds)
     raw_dir = root / "raw"
-    raw_outputs = [raw_dir / n for n in ("raw.csv", "responses.csv", "loq.json", "meta.json")]
-    if force or not manifest.stage_is_current("generate", gen_fp, root):
-        with _stage_scope("generate"):
-            raw = generate(synth_cfg)
-            save_raw_table(raw, raw_dir)
-        manifest.record("generate", gen_fp, raw_outputs, root)
-
-    # preprocess
-    pre_cfg = {**DEFAULT_PIPELINE["preprocess"], **dict(cfg["preprocess"])}
-    pre_fp = _fingerprint({"pre": pre_cfg, "seed": stage_seeds["preprocess"], "raw": gen_fp})
     ds_dir = root / "dataset"
-    ds_outputs = [
-        ds_dir / n
-        for n in (
-            "features.csv", "responses_cont.csv", "responses_bin.csv", "mask.csv",
-            "blocks.csv", "schema.json", "split.json", "preprocess_report.json",
-        )
-    ]
-    if force or not manifest.stage_is_current("preprocess", pre_fp, root):
-        with _stage_scope("preprocess"):
-            raw = load_raw_table(raw_dir)
-            ds, split, report = preprocess_raw(
-                raw,
-                test_fraction=float(pre_cfg["test_fraction"]),
-                val_fraction_of_train=float(pre_cfg["val_fraction_of_train"]),
-                seed=stage_seeds["preprocess"],
+    ckpts = {m: root / f"ckpt_{m}.json" for m in models}
+
+    def load():
+        return _load_dataset_and_split(ds_dir, ds_dir / "split.json")
+
+    gen_fp = _fingerprint(synth_cfg.to_dict())
+    _run_stage(
+        manifest, force, "generate", gen_fp,
+        [raw_dir / n for n in ("raw.csv", "responses.csv", "loq.json", "meta.json")],
+        lambda: _generate_and_save(synth_cfg, raw_dir),
+    )
+
+    pre_fp = _fingerprint({"pre": pre_cfg, "seed": stage_seeds["preprocess"], "raw": gen_fp})
+    _run_stage(
+        manifest, force, "preprocess", pre_fp,
+        [
+            ds_dir / n
+            for n in (
+                "features.csv", "responses_cont.csv", "responses_bin.csv", "mask.csv",
+                "blocks.csv", "schema.json", "split.json", "preprocess_report.json",
             )
-            save_dataset(ds, ds_dir)
-            split.save(ds_dir / "split.json")
-            report.save(ds_dir / "preprocess_report.json")
-        manifest.record("preprocess", pre_fp, ds_outputs, root)
+        ],
+        lambda: _preprocess_and_save(
+            raw_dir, ds_dir, test_fraction, val_fraction, stage_seeds["preprocess"]
+        ),
+    )
 
-    # train (all requested models under one stage)
-    train_fps = {}
-    ckpts = {}
-    train_outputs = []
-    for m in models:
-        t_cfg = TrainConfig.from_dict(dict(cfg["train"]))
-        t_cfg.seed = stage_seeds[f"train:{m}"]
-        train_fps[m] = _fingerprint({"train": t_cfg.to_dict(), "dataset": pre_fp, "model": m})
-        ckpts[m] = root / f"ckpt_{m}.json"
-        train_outputs += [ckpts[m], root / f"ckpt_{m}_history.json"]
-    train_fp = _fingerprint(train_fps)
-    if force or not manifest.stage_is_current("train", train_fp, root):
-        with _stage_scope("train"):
-            ds = load_dataset(ds_dir)
-            split = SplitAssignment.load(ds_dir / "split.json")
-            for m in models:
-                t_cfg = TrainConfig.from_dict(dict(cfg["train"]))
-                t_cfg.seed = stage_seeds[f"train:{m}"]
-                params, history = train_model(ds, split, t_cfg, m)
-                nn_core.save_checkpoint(params, ckpts[m], extra={"model": m, "seed": t_cfg.seed})
-                history.save(root / f"ckpt_{m}_history.json")
-        manifest.record("train", train_fp, train_outputs, root)
+    # all requested models train under one stage
+    def train_all():
+        ds, split = load()
+        for m in models:
+            _train_and_save(ds, split, train_cfgs[m], m, ckpts[m])
 
-    # evaluate
+    train_fp = _fingerprint({
+        m: _fingerprint({"train": train_cfgs[m].to_dict(), "dataset": pre_fp, "model": m})
+        for m in models
+    })
+    _run_stage(
+        manifest, force, "train", train_fp,
+        [p for m in models for p in (ckpts[m], _history_path(ckpts[m]))],
+        train_all,
+    )
+
+    def evaluate_all():
+        ds, split = load()
+        reports = {
+            m: _evaluate_and_save(ds, split, ckpts[m], threshold, root / f"eval_{m}.json")
+            for m in models
+        }
+        jsonio.dump(winner_ranking(reports), root / "winners.json")
+
     eval_fp = _fingerprint({"train": train_fp, "threshold": cfg["threshold"]})
-    eval_outputs = [root / f"eval_{m}.json" for m in models] + [root / "winners.json"]
-    if force or not manifest.stage_is_current("evaluate", eval_fp, root):
-        with _stage_scope("evaluate"):
-            ds = load_dataset(ds_dir)
-            split = SplitAssignment.load(ds_dir / "split.json")
-            rows = split.test_rows
-            reports = {}
-            for m in models:
-                params, _ = nn_core.load_checkpoint(ckpts[m])
-                cont_hat, bin_prob = trainer.predict(params, ds.X[rows])
-                rep = evaluate_predictions(
-                    ds.Y_cont[rows], ds.Y_bin[rows], ds.M[rows], cont_hat, bin_prob,
-                    ds.response_names, threshold=float(cfg["threshold"]),
-                )
-                rep.save(root / f"eval_{m}.json")
-                reports[m] = rep
-            if len(models) >= 2:
-                ranking = winner_ranking(reports)
-            else:
-                ranking = {"version": 1, "total_pairs": 0, "wins": {models[0]: None},
-                           "win_percentages": {models[0]: 100.0}, "ties": []}
-            jsonio.dump(ranking, root / "winners.json")
-        manifest.record("evaluate", eval_fp, eval_outputs, root)
+    _run_stage(
+        manifest, force, "evaluate", eval_fp,
+        [root / f"eval_{m}.json" for m in models] + [root / "winners.json"],
+        evaluate_all,
+    )
 
     # importance for the winning model
     ranking = jsonio.load(root / "winners.json")
     best = max(sorted(ranking["win_percentages"]), key=lambda m: ranking["win_percentages"][m])
-    imp_cfg = {**DEFAULT_PIPELINE["importance"], **dict(cfg["importance"])}
     imp_fp = _fingerprint(
         {"imp": imp_cfg, "seed": stage_seeds["importance"], "eval": eval_fp, "best": best}
     )
-    imp_outputs = [root / "importance.json"]
-    if force or not manifest.stage_is_current("importance", imp_fp, root):
-        with _stage_scope("importance"):
-            ds = load_dataset(ds_dir)
-            split = SplitAssignment.load(ds_dir / "split.json")
-            params, _ = nn_core.load_checkpoint(ckpts[best])
-            report = importance_report(
-                params, ds, split.test_rows,
-                mode=imp_cfg["mode"], n_repeats=int(imp_cfg["repeats"]),
-                seed=stage_seeds["importance"],
-            )
-            report.save(root / "importance.json")
-        manifest.record("importance", imp_fp, imp_outputs, root)
+    _run_stage(
+        manifest, force, "importance", imp_fp, [root / "importance.json"],
+        lambda: _importance_and_save(
+            *load(), ckpts[best], imp_mode, imp_repeats, stage_seeds["importance"],
+            root / "importance.json",
+        ),
+    )
 
-    # report
     rep_fp = _fingerprint({"eval": eval_fp, "imp": imp_fp})
-    rep_outputs = list(_written_report_files(root).values())
-    if force or not manifest.stage_is_current("report", rep_fp, root):
-        with _stage_scope("report"):
-            write_report(root)
-        manifest.record("report", rep_fp, rep_outputs, root)
-
+    _run_stage(
+        manifest, force, "report", rep_fp, list(_written_report_files(root).values()),
+        lambda: write_report(root),
+    )
     return root
 
 
@@ -562,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--mode", choices=("grouped", "per-column"), default="grouped")
+    p.add_argument("--mode", choices=IMPORTANCE_MODES, default="grouped")
     p.add_argument("--repeats", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

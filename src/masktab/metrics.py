@@ -208,10 +208,11 @@ def winner_ranking(reports: dict[str, EvalReport]) -> dict:
 
     For every pair with at least one defined value, the single best model
     (lowest RMSE, highest R^2/F1/AUC) scores a win; exact ties go to the
-    lexicographically first model name and are flagged.
+    lexicographically first model name and are flagged. A lone model wins
+    every defined pair.
     """
-    if len(reports) < 2:
-        raise ValueError("winner ranking needs at least 2 models")
+    if not reports:
+        raise ValueError("winner ranking needs at least 1 model")
     names = sorted(reports)
     response_sets = [tuple(r.name for r in reports[n].per_response) for n in names]
     if len(set(response_sets)) != 1:

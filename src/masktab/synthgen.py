@@ -10,7 +10,7 @@ by blanking whole location-year blocks, mimicking campaign-level coverage
 gaps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -154,22 +154,67 @@ class TrainHistory:
         jsonio.dump(self.to_dict(), path)
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray) -> list[np.ndarray]:
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
-def _supervised_losses(
+def _fit(
     params: NetworkParams,
-    X: np.ndarray,
-    y_cont: np.ndarray,
-    y_bin: np.ndarray,
-    m: np.ndarray,
-    weights: tuple[float, float],
-) -> tuple[float, float, float]:
-    out, _ = nn_core.forward(params, X, mode="infer")
-    mse, _ = masked_mse(MaskedBatch(y=y_cont, y_hat=out["cont"], m=m))
-    bce, _ = masked_bce(MaskedBatch(y=y_bin, y_hat=out["bin"], m=m))
-    return weights[0] * mse + weights[1] * bce, mse, bce
+    cfg: TrainConfig | AEConfig,
+    n_fit: int,
+    batch_loss,
+    val_loss,
+    shuffle_rng: np.random.Generator | None = None,
+    backbone: bool = True,
+) -> tuple[NetworkParams, TrainHistory]:
+    """The epoch loop of every protocol: Adam over mini-batches of the fit
+    rows, early stopping on validation loss, and the best weights restored.
+
+    ``batch_loss(rows)`` runs one train-mode forward pass and returns (loss,
+    parts, cache, upstream): parts are the batch's shares of the epoch's
+    ``train_<part>`` means, upstream the loss gradient per head output.
+    ``val_loss()`` returns the ``val_<part>`` values; ``"combined"`` decides
+    early stopping. A non-finite loss raises FloatingPointError. Batch order
+    is fixed unless ``shuffle_rng`` is given; ``backbone=False`` leaves the
+    backbone's weights and Adam moments untouched.
+    """
+    state = AdamState.for_params(params, learning_rate=cfg.lr)
+    history = TrainHistory()
+    best_params = params.copy()
+    best_val = np.inf
+    wait = 0
+    base_order = np.arange(n_fit)
+
+    for epoch in range(cfg.max_epochs):
+        order = base_order if shuffle_rng is None else shuffle_rng.permutation(n_fit)
+        sums: dict[str, float] = {}
+        for start in range(0, n_fit, cfg.batch_size):
+            loss, parts, cache, upstream = batch_loss(order[start : start + cfg.batch_size])
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite training loss at epoch {epoch}: {loss!r}"
+                )
+            grads = nn_core.backward(params, cache, upstream, backbone=backbone)
+            nn_core.adam_step(params, grads, state, backbone=backbone)
+            for name, value in parts.items():
+                sums[name] = sums.get(name, 0.0) + value
+
+        val = val_loss()
+        if not np.isfinite(val["combined"]):
+            raise FloatingPointError(f"non-finite validation loss at epoch {epoch}")
+        for name, value in sums.items():
+            getattr(history, f"train_{name}").append(value)
+        for name, value in val.items():
+            getattr(history, f"val_{name}").append(value)
+        history.stopped_epoch = epoch
+
+        if val["combined"] < best_val:
+            best_val = val["combined"]
+            history.best_epoch = epoch
+            np.copyto(best_params.flat, params.flat)
+            wait = 0
+        else:
+            wait += 1
+            if wait >= max(cfg.patience, 1):
+                break
+
+    return best_params, history
 
 
 def _train_supervised(
@@ -190,64 +235,38 @@ def _train_supervised(
     X_fit, X_val = ds.X[fit_rows], ds.X[val_rows]
     yc_fit, yb_fit, m_fit = ds.Y_cont[fit_rows], ds.Y_bin[fit_rows], ds.M[fit_rows]
     yc_val, yb_val, m_val = ds.Y_cont[val_rows], ds.Y_bin[val_rows], ds.M[val_rows]
-
-    state = AdamState.for_params(params, learning_rate=cfg.lr)
-    history = TrainHistory()
-    best_params = params.copy()
-    best_val = np.inf
-    wait = 0
-    base_order = np.arange(fit_rows.size)
     w_mse, w_bce = cfg.loss_weights
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(fit_rows.size) if cfg.shuffle else base_order
-        ep_mse = ep_bce = ep_comb = 0.0
-        for batch in _batches(fit_rows.size, cfg.batch_size, order):
-            out, cache = nn_core.forward(params, X_fit[batch], mode="train", rng=rng)
-            # combined_loss's weighted sum, keeping the parts for the history
-            mse, g_cont = masked_mse(MaskedBatch(y=yc_fit[batch], y_hat=out["cont"], m=m_fit[batch]))
-            bce, g_bin = masked_bce(MaskedBatch(y=yb_fit[batch], y_hat=out["bin"], m=m_fit[batch]))
-            total = w_mse * mse + w_bce * bce
-            if not np.isfinite(total):
-                raise FloatingPointError(
-                    f"non-finite training loss at epoch {epoch}: {total!r}"
-                )
-            # a frozen backbone gets no gradient and no Adam update: with a zero
-            # gradient the full update would leave its weights and moments as they are
-            grads = nn_core.backward(
-                params, cache, {"cont": w_mse * g_cont, "bin": w_bce * g_bin},
-                backbone=not freeze_backbone,
-            )
-            nn_core.adam_step(params, grads, state, backbone=not freeze_backbone)
-            w = batch.size / fit_rows.size
-            ep_mse += w * mse
-            ep_bce += w * bce
-            ep_comb += w * total
+    def batch_loss(batch):
+        out, cache = nn_core.forward(params, X_fit[batch], mode="train", rng=rng)
+        # combined_loss's weighted sum, keeping the parts for the history
+        mse, g_cont = masked_mse(MaskedBatch(y=yc_fit[batch], y_hat=out["cont"], m=m_fit[batch]))
+        bce, g_bin = masked_bce(MaskedBatch(y=yb_fit[batch], y_hat=out["bin"], m=m_fit[batch]))
+        total = w_mse * mse + w_bce * bce
+        w = batch.size / fit_rows.size
+        parts = {"mse": w * mse, "bce": w * bce, "combined": w * total}
+        return total, parts, cache, {"cont": w_mse * g_cont, "bin": w_bce * g_bin}
 
-        val_comb, val_mse, val_bce = _supervised_losses(
-            params, X_val, yc_val, yb_val, m_val, cfg.loss_weights
-        )
-        if not np.isfinite(val_comb):
-            raise FloatingPointError(f"non-finite validation loss at epoch {epoch}")
-        history.train_mse.append(ep_mse)
-        history.train_bce.append(ep_bce)
-        history.train_combined.append(ep_comb)
-        history.val_mse.append(val_mse)
-        history.val_bce.append(val_bce)
-        history.val_combined.append(val_comb)
-        history.stopped_epoch = epoch
+    def val_loss():
+        out, _ = nn_core.forward(params, X_val, mode="infer")
+        mse, _ = masked_mse(MaskedBatch(y=yc_val, y_hat=out["cont"], m=m_val))
+        bce, _ = masked_bce(MaskedBatch(y=yb_val, y_hat=out["bin"], m=m_val))
+        return {"mse": mse, "bce": bce, "combined": w_mse * mse + w_bce * bce}
 
-        if val_comb < best_val:
-            best_val = val_comb
-            history.best_epoch = epoch
-            np.copyto(best_params.flat, params.flat)
-            wait = 0
-        else:
-            wait += 1
-            if wait >= max(cfg.patience, 1):
-                break
+    # a frozen backbone gets no gradient and no Adam update: with a zero
+    # gradient the full update would leave its weights and moments as they are
+    return _fit(
+        params, cfg, fit_rows.size, batch_loss, val_loss,
+        shuffle_rng=rng if cfg.shuffle else None, backbone=not freeze_backbone,
+    )
 
-    return best_params, history
+
+def _task_heads(in_dim: int, n_responses: int) -> dict[str, list[LayerSpec]]:
+    """The concentration (ReLU) and presence (sigmoid) heads over one latent."""
+    return {
+        "cont": [LayerSpec(in_dim=in_dim, out_dim=n_responses, activation="relu")],
+        "bin": [LayerSpec(in_dim=in_dim, out_dim=n_responses, activation="sigmoid")],
+    }
 
 
 def _supervised_network(
@@ -258,11 +277,7 @@ def _supervised_network(
         LayerSpec(in_dim=dims[i], out_dim=dims[i + 1], activation="relu", dropout_rate=cfg.dropout)
         for i in range(len(cfg.hidden_dims))
     ]
-    heads = {
-        "cont": [LayerSpec(in_dim=dims[-1], out_dim=n_responses, activation="relu")],
-        "bin": [LayerSpec(in_dim=dims[-1], out_dim=n_responses, activation="sigmoid")],
-    }
-    return nn_core.init_network(backbone, heads, rng)
+    return nn_core.init_network(backbone, _task_heads(dims[-1], n_responses), rng)
 
 
 def train_baseline(
@@ -320,48 +335,23 @@ def pretrain_autoencoder(
     ]
     params = nn_core.init_network(encoder, {"recon": decoder}, rng)
 
-    def recon_loss(rows_X: np.ndarray) -> float:
-        out, _ = nn_core.forward(params, rows_X, mode="infer")
-        diff = out["recon"] - rows_X
-        return float((diff * diff).mean())
-
-    state = AdamState.for_params(params, learning_rate=cfg.lr)
-    history = TrainHistory()
-    best_params = params.copy()
-    best_val = np.inf
-    wait = 0
     X_fit, X_val = X[fit_rows], X[val_rows]
-    order = np.arange(fit_rows.size)
 
-    for epoch in range(cfg.max_epochs):
-        ep_loss = 0.0
-        for batch in _batches(fit_rows.size, cfg.batch_size, order):
-            xb = X_fit[batch]
-            out, cache = nn_core.forward(params, xb, mode="train", rng=rng)
-            diff = out["recon"] - xb
-            loss = float((diff * diff).mean())
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite reconstruction loss at epoch {epoch}")
-            upstream = 2.0 * diff / diff.size
-            grads = nn_core.backward(params, cache, {"recon": upstream})
-            nn_core.adam_step(params, grads, state)
-            ep_loss += loss * batch.size / fit_rows.size
-        val_loss = recon_loss(X_val)
-        history.train_mse.append(ep_loss)
-        history.train_combined.append(ep_loss)
-        history.val_mse.append(val_loss)
-        history.val_combined.append(val_loss)
-        history.stopped_epoch = epoch
-        if val_loss < best_val:
-            best_val = val_loss
-            history.best_epoch = epoch
-            np.copyto(best_params.flat, params.flat)
-            wait = 0
-        else:
-            wait += 1
-            if wait >= max(cfg.patience, 1):
-                break
+    def batch_loss(batch):
+        xb = X_fit[batch]
+        out, cache = nn_core.forward(params, xb, mode="train", rng=rng)
+        diff = out["recon"] - xb
+        loss = float((diff * diff).mean())
+        part = loss * batch.size / fit_rows.size
+        return loss, {"mse": part, "combined": part}, cache, {"recon": 2.0 * diff / diff.size}
 
+    def val_loss():
+        out, _ = nn_core.forward(params, X_val, mode="infer")
+        diff = out["recon"] - X_val
+        loss = float((diff * diff).mean())
+        return {"mse": loss, "combined": loss}
+
+    best_params, history = _fit(params, cfg, fit_rows.size, batch_loss, val_loss)
     return best_params.backbone, history
 
 
@@ -381,15 +371,8 @@ def finetune(
             f"encoder expects {encoder[0].spec.in_dim} inputs, dataset has {ds.n_features}"
         )
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    latent = encoder[-1].spec.out_dim
-    heads = {
-        "cont": [LayerSpec(in_dim=latent, out_dim=ds.n_responses, activation="relu")],
-        "bin": [LayerSpec(in_dim=latent, out_dim=ds.n_responses, activation="sigmoid")],
-    }
-    params = NetworkParams(
-        backbone=[l.copy() for l in encoder],
-        heads={h: [nn_core.glorot_uniform(s, rng) for s in specs] for h, specs in sorted(heads.items())},
-    )
+    fresh = nn_core.init_network([], _task_heads(encoder[-1].spec.out_dim, ds.n_responses), rng)
+    params = NetworkParams(backbone=[l.copy() for l in encoder], heads=fresh.heads)
     return _train_supervised(
         params, ds, split, cfg, rng, freeze_backbone=(cfg.finetune_mode == "frozen")
     )

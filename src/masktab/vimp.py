@@ -11,7 +11,7 @@ into a single feature history.
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .masked_loss import MaskedBatch, masked_bce, masked_mse
 from .nn_core import NetworkParams, forward
 
 TASKS = ("regression", "classification")
+IMPORTANCE_MODES = ("grouped", "per-column")
 
 _LAG_RE = re.compile(r"^(.+)_lag_\d+$")
 _SINCOS_RE = re.compile(r"^(.+)_(sin|cos)$")
@@ -221,7 +222,7 @@ def importance_report(
         elif mode == "per-column":
             groups = per_column_groups(ds.schema)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ValueError(f"unknown mode {mode!r}; expected one of {IMPORTANCE_MODES}")
     rows = np.asarray(rows, dtype=np.int64)
     X = ds.X[rows]
     entries: list[ImportanceEntry] = []

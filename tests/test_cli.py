@@ -133,6 +133,26 @@ class TestExitCodes:
         code = main(["pipeline", "--config", cfg, "--out", str(tmp_path / "art")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", [
+        {"train": {"dropout": 2.0}},
+        {"seed": "abc"},
+        {"synth": {**SMALL_SYNTH, "missingness_profile": [0.1, 0.2, 1.5, 0.0]}},
+        {"importance": {"mode": "bogus"}},
+        {"importance": {"mode": "grouped", "repeats": 0}},
+        {"synth": 5},
+        {"train": ["x"]},
+    ], ids=["train-dropout", "seed", "synth-profile", "importance-mode", "importance-repeats",
+            "synth-not-object", "train-not-object"])
+    def test_bad_pipeline_setting_is_config_error_before_training(self, tmp_path, capsys,
+                                                                  override):
+        # the same exit code as the subcommand that takes the setting, and no
+        # checkpoint is trained first
+        cfg = write_json(tmp_path / "p.json", {**SMALL_PIPELINE, **override})
+        out = tmp_path / "art"
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not list(out.glob("ckpt_*"))
+
     def test_invalid_synth_profile_is_config_error(self, tmp_path):
         cfg = write_json(
             tmp_path / "synth.json",
@@ -223,3 +243,34 @@ class TestPipeline:
         assert manifest["stages"]["importance"]["config"] != json.loads(
             (pipeline_dir / "manifest.json").read_text()
         )["stages"]["importance"]["config"]
+
+    def test_train_command_matches_pipeline_train_stage(self, pipeline_dir, tmp_path):
+        ds_dir = pipeline_dir / "dataset"
+        seed = derive_seed(SMALL_PIPELINE["seed"], "train:baseline")
+        train_cfg = write_json(tmp_path / "train.json", {**SMALL_TRAIN, "seed": seed})
+        ckpt = tmp_path / "ckpt_baseline.json"
+        assert main([
+            "train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--model", "baseline", "--config", train_cfg, "--out", str(ckpt),
+        ]) == EXIT_OK
+        for name in ("ckpt_baseline.json", "ckpt_baseline_history.json"):
+            assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+    def test_evaluate_command_matches_pipeline_evaluate_stage(self, pipeline_dir, tmp_path):
+        ds_dir = pipeline_dir / "dataset"
+        out = tmp_path / "eval_baseline.json"
+        assert main([
+            "evaluate", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--ckpt", str(pipeline_dir / "ckpt_baseline.json"), "--out", str(out),
+        ]) == EXIT_OK
+        assert out.read_bytes() == (pipeline_dir / "eval_baseline.json").read_bytes()
+
+    def test_single_model_winners_agree_with_report(self, tmp_path):
+        out = tmp_path / "art"
+        run_pipeline({**SMALL_PIPELINE, "models": ["baseline"]}, out)
+        winners = json.loads((out / "winners.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert winners == report["ranking"]
+        assert winners["total_pairs"] > 0
+        assert winners["wins"] == {"baseline": winners["total_pairs"]}
+        assert winners["win_percentages"] == {"baseline": 100.0}

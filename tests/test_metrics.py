@@ -221,10 +221,17 @@ class TestWinnerRanking:
         out = winner_ranking({"a": a, "b": b})
         assert out["total_pairs"] == 1
 
-    def test_single_model_rejected(self):
-        a = report_from({"t1": (0.5, 0.9, 0.8, 0.95)})
-        with pytest.raises(ValueError, match="at least 2"):
-            winner_ranking({"only": a})
+    def test_single_model_wins_every_defined_pair(self):
+        a = report_from({"t1": (0.5, 0.9, None, 0.95), "t2": (0.4, 0.8, 0.7, 0.9)})
+        out = winner_ranking({"only": a})
+        assert out["total_pairs"] == 7
+        assert out["wins"] == {"only": 7}
+        assert out["win_percentages"] == {"only": 100.0}
+        assert out["ties"] == []
+
+    def test_no_models_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            winner_ranking({})
 
     def test_misaligned_responses_rejected(self):
         a = report_from({"t1": (0.5, 0.9, 0.8, 0.95)})

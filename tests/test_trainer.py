@@ -137,6 +137,22 @@ class TestAutoencoder:
         out, _ = forward(net, ds.X[:7])
         assert out["z"].shape == (7, 12)
 
+    def test_non_finite_validation_loss_raises(self, planted, monkeypatch):
+        # a diverged holdout loss must stop training, not count as "no improvement"
+        ds, _ = planted
+        forward = nn_core.forward
+
+        def nan_infer(params, X, mode="infer", rng=None):
+            out, cache = forward(params, X, mode=mode, rng=rng)
+            if mode == "infer":
+                out = {h: np.full_like(v, np.nan) for h, v in out.items()}
+            return out, cache
+
+        monkeypatch.setattr(nn_core, "forward", nan_infer)
+        cfg = AEConfig(encoder_dims=(24, 8), max_epochs=3, patience=3)
+        with pytest.raises(FloatingPointError, match="non-finite validation loss at epoch 0"):
+            pretrain_autoencoder(ds.X, cfg, seed=0, blocks=ds.blocks)
+
     def test_deterministic_under_seed(self, planted):
         ds, _ = planted
         cfg = AEConfig(encoder_dims=(24, 8), max_epochs=6, patience=6)
