@@ -7,8 +7,6 @@ The comparison below is paired: both fine-tunes start from the same encoder
 and identical head initialisations.
 """
 
-from dataclasses import replace
-
 from masktab import (
     MaskedBatch,
     SynthConfig,
@@ -48,7 +46,7 @@ def test_loss(params):
 
 
 for mode in ("frozen", "unfrozen"):
-    params, history = finetune(encoder, ds, split, replace(train_cfg, finetune_mode=mode))
+    params, history = finetune(encoder, ds, split, train_cfg, frozen=(mode == "frozen"))
     changed = any(
         not (a.W == b.W).all() for a, b in zip(encoder, params.backbone)
     )

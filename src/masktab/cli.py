@@ -13,6 +13,7 @@ The environment variable MASKTAB_SEED overrides any configured seed.
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import os
 import sys
@@ -28,7 +29,7 @@ from .data_model import (
     save_raw_table,
 )
 from .metrics import METRIC_NAMES, EvalReport, evaluate_predictions, winner_ranking
-from .preprocess import preprocess_raw
+from .preprocess import check_split_fractions, preprocess_raw
 from .synthgen import SynthConfig, generate
 from .trainer import MODEL_KINDS, TrainConfig, TrainHistory, train_model
 from .vimp import IMPORTANCE_MODES, importance_report
@@ -111,6 +112,15 @@ def _importance_settings(mode, repeats) -> tuple[str, int]:
     return mode, n_repeats
 
 
+def _split_fractions(test_fraction, val_fraction) -> tuple[float, float]:
+    try:
+        fractions = (float(test_fraction), float(val_fraction))
+        check_split_fractions(*fractions)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad split fractions: {exc}") from exc
+    return fractions
+
+
 # ---------------------------------------------------------------------------
 # Stage bodies, shared by the commands and the pipeline
 # ---------------------------------------------------------------------------
@@ -141,9 +151,11 @@ def _preprocess_and_save(raw_dir, out, test_fraction: float, val_fraction: float
 
 def _load_dataset_and_split(dataset_dir, split_path):
     ds_dir = _require_dir(dataset_dir, "dataset directory", "run `masktab preprocess` first")
-    ds = load_dataset(ds_dir)
     split_file = _require_file(split_path, "split file", "run `masktab preprocess` first")
-    split = SplitAssignment.load(split_file)
+    try:
+        ds, split = load_dataset(ds_dir), SplitAssignment.load(split_file)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"unreadable dataset {ds_dir} or split {split_file}: {exc}") from exc
     bad = split.violations(ds.blocks)
     if bad:
         raise DataError(f"invalid split for dataset: {'; '.join(bad)}")
@@ -163,8 +175,15 @@ def _train_and_save(ds, split, cfg: TrainConfig, model: str, out) -> TrainHistor
     return history
 
 
+def _load_checkpoint(ckpt):
+    try:
+        return nn_core.load_checkpoint(ckpt)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"unreadable checkpoint {ckpt}: {exc}") from exc
+
+
 def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
-    params, _ = nn_core.load_checkpoint(ckpt)
+    params, _ = _load_checkpoint(ckpt)
     rows = split.test_rows
     cont_hat, bin_prob = trainer.predict(params, ds.X[rows])
     report = evaluate_predictions(
@@ -176,7 +195,7 @@ def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
 
 
 def _importance_and_save(ds, split, ckpt, mode: str, repeats: int, seed: int, out):
-    params, _ = nn_core.load_checkpoint(ckpt)
+    params, _ = _load_checkpoint(ckpt)
     report = importance_report(
         params, ds, split.test_rows, mode=mode, n_repeats=repeats, seed=seed,
     )
@@ -200,7 +219,8 @@ def cmd_generate(args) -> int:
 def cmd_preprocess(args) -> int:
     raw_dir = _require_dir(args.inp, "raw table directory", "run `masktab generate` first")
     seed = resolve_seed(args.seed)
-    ds, split = _preprocess_and_save(raw_dir, args.out, args.test_fraction, args.val_fraction, seed)
+    fractions = _split_fractions(args.test_fraction, args.val_fraction)
+    ds, split = _preprocess_and_save(raw_dir, args.out, *fractions, seed)
     print(
         f"preprocess: {ds.n_samples} rows, {ds.n_features} encoded columns, "
         f"{len(split.test_rows)} test rows -> {args.out}"
@@ -416,7 +436,13 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     for key in ("synth", "preprocess", "train", "importance"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"pipeline config {key!r} must be an object, got {cfg[key]!r}")
-    models = list(cfg["models"])
+    for key in ("preprocess", "importance"):
+        unknown = set(cfg[key]) - set(DEFAULT_PIPELINE[key])
+        if unknown:
+            raise ConfigError(f"unknown pipeline config {key!r} keys: {sorted(unknown)}")
+    if not isinstance(cfg["models"], list):
+        raise ConfigError(f"pipeline config 'models' must be a list, got {cfg['models']!r}")
+    models = cfg["models"]
     for m in models:
         if m not in MODEL_KINDS:
             raise ConfigError(f"unknown model {m!r} in pipeline config")
@@ -430,16 +456,15 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
         **{f"train:{m}": derive_seed(global_seed, f"train:{m}") for m in models},
         "importance": derive_seed(global_seed, "importance"),
     }
-    synth_cfg = _parse_config(SynthConfig.from_dict, dict(cfg["synth"]), "synthesis config")
+    synth_cfg = _parse_config(SynthConfig.from_dict, cfg["synth"], "synthesis config")
     synth_cfg.seed = stage_seeds["generate"]
-    pre_cfg = {**DEFAULT_PIPELINE["preprocess"], **dict(cfg["preprocess"])}
-    test_fraction = _parse_config(float, pre_cfg["test_fraction"], "test_fraction")
-    val_fraction = _parse_config(float, pre_cfg["val_fraction_of_train"], "val_fraction_of_train")
+    pre_cfg = {**DEFAULT_PIPELINE["preprocess"], **cfg["preprocess"]}
+    fractions = _split_fractions(pre_cfg["test_fraction"], pre_cfg["val_fraction_of_train"])
     train_cfgs = {}
     for m in models:
-        train_cfgs[m] = _parse_config(TrainConfig.from_dict, dict(cfg["train"]), "train config")
+        train_cfgs[m] = _parse_config(TrainConfig.from_dict, cfg["train"], "train config")
         train_cfgs[m].seed = stage_seeds[f"train:{m}"]
-    imp_cfg = {**DEFAULT_PIPELINE["importance"], **dict(cfg["importance"])}
+    imp_cfg = {**DEFAULT_PIPELINE["importance"], **cfg["importance"]}
     imp_mode, imp_repeats = _importance_settings(imp_cfg["mode"], imp_cfg["repeats"])
     threshold = _parse_config(float, cfg["threshold"], "threshold")
 
@@ -450,8 +475,8 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     ds_dir = root / "dataset"
     ckpts = {m: root / f"ckpt_{m}.json" for m in models}
 
-    def load():
-        return _load_dataset_and_split(ds_dir, ds_dir / "split.json")
+    # the stages that run share one parse of the dataset
+    load = functools.cache(lambda: _load_dataset_and_split(ds_dir, ds_dir / "split.json"))
 
     gen_fp = _fingerprint(synth_cfg.to_dict())
     _run_stage(
@@ -470,9 +495,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
                 "blocks.csv", "schema.json", "split.json", "preprocess_report.json",
             )
         ],
-        lambda: _preprocess_and_save(
-            raw_dir, ds_dir, test_fraction, val_fraction, stage_seeds["preprocess"]
-        ),
+        lambda: _preprocess_and_save(raw_dir, ds_dir, *fractions, stage_seeds["preprocess"]),
     )
 
     # all requested models train under one stage

@@ -52,7 +52,7 @@ class SchemaEntry:
 
 
 @dataclass(frozen=True)
-class FeatureSchema:
+class FeatureSchema(jsonio.Document):
     """Ordered column descriptions; group_ids partition the column set.
 
     Continuous columns form singleton groups; all indicator columns derived
@@ -94,35 +94,6 @@ class FeatureSchema:
             elif kinds == {"continuous"} and len(cols) != 1:
                 violations.append(f"schema group {gid!r}: continuous group is not a singleton")
         return violations
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "entries": [
-                {
-                    "column_index": e.column_index,
-                    "original_variable": e.original_variable,
-                    "kind": e.kind,
-                    "group_id": e.group_id,
-                    "level_label": e.level_label,
-                }
-                for e in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSchema":
-        entries = tuple(
-            SchemaEntry(
-                column_index=int(e["column_index"]),
-                original_variable=e["original_variable"],
-                kind=e["kind"],
-                group_id=e["group_id"],
-                level_label=e.get("level_label"),
-            )
-            for e in d["entries"]
-        )
-        return cls(entries=entries)
 
 
 @dataclass
@@ -218,7 +189,7 @@ def validate(ds: TabularDataset) -> list[str]:
 
 
 @dataclass
-class SplitAssignment:
+class SplitAssignment(jsonio.Document):
     """Row partition; validation rows are a subset of training rows."""
 
     train_rows: np.ndarray
@@ -263,36 +234,13 @@ class SplitAssignment:
                         seen[label] = part
         return v
 
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "train_rows": self.train_rows.tolist(),
-            "val_rows": self.val_rows.tolist(),
-            "test_rows": self.test_rows.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitAssignment":
-        return cls(
-            train_rows=np.array(d["train_rows"], dtype=np.int64),
-            test_rows=np.array(d["test_rows"], dtype=np.int64),
-            val_rows=np.array(d.get("val_rows", []), dtype=np.int64),
-        )
-
-    def save(self, path) -> None:
-        jsonio.dump(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "SplitAssignment":
-        return cls.from_dict(jsonio.load(path))
-
 
 # ---------------------------------------------------------------------------
 # Raw (pre-encoding) table: what the generator emits and preprocessing eats.
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RawMeta:
+class RawMeta(jsonio.Document):
     """Column roles of a raw table; drives the encoding pipeline."""
 
     site_column: str
@@ -305,36 +253,6 @@ class RawMeta:
     dew_point_lag_columns: tuple[str, ...] = ()
     precipitation_lag_columns: tuple[str, ...] = ()
     humidity_prefix: str = "humidity_lag"
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "site_column": self.site_column,
-            "year_column": self.year_column,
-            "categorical_columns": list(self.categorical_columns),
-            "continuous_columns": list(self.continuous_columns),
-            "day_of_year_columns": list(self.day_of_year_columns),
-            "soil_ph_columns": list(self.soil_ph_columns),
-            "temperature_lag_columns": list(self.temperature_lag_columns),
-            "dew_point_lag_columns": list(self.dew_point_lag_columns),
-            "precipitation_lag_columns": list(self.precipitation_lag_columns),
-            "humidity_prefix": self.humidity_prefix,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RawMeta":
-        return cls(
-            site_column=d["site_column"],
-            year_column=d["year_column"],
-            categorical_columns=tuple(d["categorical_columns"]),
-            continuous_columns=tuple(d["continuous_columns"]),
-            day_of_year_columns=tuple(d.get("day_of_year_columns", [])),
-            soil_ph_columns=tuple(d.get("soil_ph_columns", [])),
-            temperature_lag_columns=tuple(d.get("temperature_lag_columns", [])),
-            dew_point_lag_columns=tuple(d.get("dew_point_lag_columns", [])),
-            precipitation_lag_columns=tuple(d.get("precipitation_lag_columns", [])),
-            humidity_prefix=d.get("humidity_prefix", "humidity_lag"),
-        )
 
 
 @dataclass
@@ -412,12 +330,12 @@ def save_dataset(ds: TabularDataset, out_dir) -> None:
     _write_csv(out / RESPONSES_BIN_FILE, list(ds.response_names), ds.Y_bin)
     _write_csv(out / MASK_FILE, list(ds.response_names), ds.M.astype(np.int64))
     _write_csv(out / BLOCKS_FILE, ["block"], [[b] for b in ds.blocks])
-    jsonio.dump(ds.schema.to_dict(), out / SCHEMA_FILE)
+    ds.schema.save(out / SCHEMA_FILE)
 
 
 def load_dataset(in_dir) -> TabularDataset:
     src = Path(in_dir)
-    schema = FeatureSchema.from_dict(jsonio.load(src / SCHEMA_FILE))
+    schema = FeatureSchema.load(src / SCHEMA_FILE)
     _, feat_rows = _read_csv(src / FEATURES_FILE)
     cont_header, cont_rows = _read_csv(src / RESPONSES_CONT_FILE)
     _, bin_rows = _read_csv(src / RESPONSES_BIN_FILE)
@@ -452,12 +370,12 @@ def save_raw_table(raw: RawTable, out_dir) -> None:
     _write_csv(out / RAW_FILE, names, rows)
     _write_csv(out / RAW_RESPONSES_FILE, list(raw.response_names), raw.responses)
     jsonio.dump({n: float(q) for n, q in zip(raw.response_names, raw.loq)}, out / RAW_LOQ_FILE)
-    jsonio.dump(raw.meta.to_dict(), out / RAW_META_FILE)
+    raw.meta.save(out / RAW_META_FILE)
 
 
 def load_raw_table(in_dir) -> RawTable:
     src = Path(in_dir)
-    meta = RawMeta.from_dict(jsonio.load(src / RAW_META_FILE))
+    meta = RawMeta.load(src / RAW_META_FILE)
     header, rows = _read_csv(src / RAW_FILE)
     numeric = set(meta.continuous_columns) | set(meta.day_of_year_columns)
     numeric |= set(meta.temperature_lag_columns) | set(meta.dew_point_lag_columns)

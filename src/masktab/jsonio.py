@@ -1,11 +1,17 @@
-"""Deterministic JSON and CSV serialisation.
+"""Deterministic JSON serialisation and the one codec for config and artifact
+documents.
 
 Every numeric artifact is written with 17 significant digits so that a float64
-round-trips exactly and repeated runs produce byte-identical files.
+round-trips exactly and repeated runs produce byte-identical files. Keys are
+sorted, so a document's field order never reaches the bytes.
 """
 
+import dataclasses
+import functools
 import json
 import math
+import types
+import typing
 from pathlib import Path
 
 
@@ -71,3 +77,105 @@ def load(path):
 
 def loads(text: str):
     return json.loads(text)
+
+
+# ---------------------------------------------------------------------------
+# Dataclass documents
+# ---------------------------------------------------------------------------
+
+def _plain(obj):
+    """Plain JSON data for a document value: dataclasses and named tuples
+    become objects keyed by field, tuples and arrays become lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if hasattr(obj, "_asdict"):
+        return {k: _plain(v) for k, v in obj._asdict().items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    return obj
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    names = cls._fields if hasattr(cls, "_fields") else [f.name for f in dataclasses.fields(cls)]
+    return {name: hints[name] for name in names}
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _decode(cls, d):
+    """Build a dataclass or named tuple ``cls`` from its JSON object.
+
+    Each value is converted by its field's type hint; a missing key takes the
+    field's default. A key that is not a field raises ValueError, except
+    ``"version"`` on a versioned document.
+    """
+    types_ = _field_types(cls)
+    allowed = {"version"} if getattr(cls, "VERSION", None) is not None else set()
+    unknown = set(_object(d)) - set(types_) - allowed
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {sorted(unknown)}")
+    return cls(**{k: _decode_value(types_[k], v) for k, v in d.items() if k in types_})
+
+
+def _decode_value(tp, value):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode_value(tp, value)
+    if dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"):
+        return _decode(tp, value)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(_decode_value(args[0], v) for v in value)
+        if len(value) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {value!r}")
+        return tuple(_decode_value(a, v) for a, v in zip(args, value))
+    if origin is list:
+        return [_decode_value(args[0], v) for v in value]
+    if origin is dict:
+        return {k: _decode_value(args[1], v) for k, v in _object(value).items()}
+    if tp is bool and not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    if tp in (int, float, str, bool):
+        return tp(value)
+    return value  # e.g. an ndarray field, which the dataclass converts itself
+
+
+class Document:
+    """Mixin that gives a dataclass ``to_dict``/``from_dict``/``save``/``load``.
+
+    Fields are written by name (nested dataclasses and named tuples as
+    objects, tuples and arrays as lists) and read back by their type hints;
+    reading rejects unknown keys. A top-level document writes
+    ``"version": VERSION``; a nested one sets ``VERSION = None`` and writes
+    none.
+    """
+
+    VERSION: typing.ClassVar[int | None] = 1
+
+    def to_dict(self) -> dict:
+        d = _plain(self)
+        return d if self.VERSION is None else {"version": self.VERSION, **d}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return _decode(cls, d)
+
+    def save(self, path) -> None:
+        dump(self.to_dict(), path)
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_dict(load(path))

@@ -35,7 +35,7 @@ class ResponseMetrics:
 
 
 @dataclass
-class EvalReport:
+class EvalReport(jsonio.Document):
     per_response: list[ResponseMetrics]
     scale_note: str = REGRESSION_SCALE_NOTE
 
@@ -47,48 +47,12 @@ class EvalReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "scale_note": self.scale_note,
-            "per_response": [
-                {
-                    "name": r.name,
-                    "n_observed": r.n_observed,
-                    "n_positive": r.n_positive,
-                    "rmse": r.rmse,
-                    "r2": r.r2,
-                    "f1": r.f1,
-                    "auc": r.auc,
-                    "flags": list(r.flags),
-                }
-                for r in self.per_response
-            ],
-            "averages": self.averages(),
-        }
+        """The document plus its derived ``averages``, which reading drops."""
+        return {**super().to_dict(), "averages": self.averages()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        rs = [
-            ResponseMetrics(
-                name=r["name"],
-                n_observed=int(r["n_observed"]),
-                n_positive=int(r["n_positive"]),
-                rmse=r.get("rmse"),
-                r2=r.get("r2"),
-                f1=r.get("f1"),
-                auc=r.get("auc"),
-                flags=list(r.get("flags", [])),
-            )
-            for r in d["per_response"]
-        ]
-        return cls(per_response=rs, scale_note=d.get("scale_note", REGRESSION_SCALE_NOTE))
-
-    def save(self, path) -> None:
-        jsonio.dump(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "EvalReport":
-        return cls.from_dict(jsonio.load(path))
+        return super().from_dict({k: v for k, v in d.items() if k != "averages"})
 
 
 def regression_metrics(y, y_hat, m) -> tuple[float | None, float | None, list[str]]:

@@ -10,6 +10,7 @@ explicit random generator.
 """
 
 import base64
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -426,8 +427,12 @@ def adam_step(
 def _encode_array(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
-def _decode_array(s: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape).astype(np.float64)
+def _decode_array(s: str, shape: tuple[int, ...], name: str) -> np.ndarray:
+    raw = base64.b64decode(s)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"checkpoint array {name} holds {len(raw)} bytes, "
+                         f"shape {shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def save_checkpoint(params: NetworkParams, path, extra: dict | None = None) -> None:
@@ -460,8 +465,8 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             dropout_rate=float(rec["dropout_rate"]),
         )
         layer = DenseLayer(
-            W=_decode_array(rec["W"], (spec.out_dim, spec.in_dim)),
-            b=_decode_array(rec["b"], (spec.out_dim,)),
+            W=_decode_array(rec["W"], (spec.out_dim, spec.in_dim), f"{rec['path']}.W"),
+            b=_decode_array(rec["b"], (spec.out_dim,), f"{rec['path']}.b"),
             spec=spec,
         )
         group, _, _ = rec["path"].rpartition(".")

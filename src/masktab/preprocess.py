@@ -9,6 +9,7 @@ statistics come from training rows alone and are applied unchanged elsewhere.
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,41 +116,20 @@ def soil_ph_midpoint(value):
     return float(text)
 
 
+class NormStats(NamedTuple):
+    """Training-row mean and population standard deviation of one column."""
+
+    mean: float
+    stdev: float
+
+
 @dataclass
-class PreprocessReport:
+class PreprocessReport(jsonio.Document):
     """What the pipeline dropped, imputed, and learned from training rows."""
 
     columns_dropped: dict[str, str] = field(default_factory=dict)
     imputation_counts: dict[str, int] = field(default_factory=dict)
-    normalisation_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "columns_dropped": dict(self.columns_dropped),
-            "imputation_counts": dict(self.imputation_counts),
-            "normalisation_stats": {
-                k: {"mean": v[0], "stdev": v[1]} for k, v in self.normalisation_stats.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PreprocessReport":
-        return cls(
-            columns_dropped=dict(d["columns_dropped"]),
-            imputation_counts={k: int(v) for k, v in d["imputation_counts"].items()},
-            normalisation_stats={
-                k: (float(v["mean"]), float(v["stdev"]))
-                for k, v in d["normalisation_stats"].items()
-            },
-        )
-
-    def save(self, path) -> None:
-        jsonio.dump(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "PreprocessReport":
-        return cls.from_dict(jsonio.load(path))
+    normalisation_stats: dict[str, NormStats] = field(default_factory=dict)
 
 
 def _is_missing_obj(v) -> bool:
@@ -190,7 +170,7 @@ class _Builder:
         if std == 0.0:
             self.report.columns_dropped[name] = "constant"
             return
-        self.report.normalisation_stats[name] = (mean, std)
+        self.report.normalisation_stats[name] = NormStats(mean, std)
         idx = len(self.columns)
         self.columns.append((vals - mean) / std)
         self.entries.append(
@@ -486,6 +466,14 @@ def _partition_blocks(
     return selected, rest
 
 
+def check_split_fractions(test_fraction: float, val_fraction_of_train: float) -> None:
+    """ValueError unless 0 < test_fraction < 1 and 0 <= val_fraction_of_train < 1."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if not 0.0 <= val_fraction_of_train < 1.0:
+        raise ValueError(f"val_fraction_of_train must lie in [0, 1), got {val_fraction_of_train}")
+
+
 def split_blocks(
     blocks: np.ndarray,
     y_bin: np.ndarray,
@@ -501,6 +489,7 @@ def split_blocks(
     per-response positive rates similar across sides where the block structure
     allows it.
     """
+    check_split_fractions(test_fraction, val_fraction_of_train)
     blocks = np.asarray(blocks, dtype=object)
     block_rows: dict[str, np.ndarray] = {}
     for i, lab in enumerate(blocks):

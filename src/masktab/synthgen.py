@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .data_model import RawMeta, RawTable, block_label
 from .preprocess import relative_humidity
 
@@ -112,7 +113,7 @@ def default_planted_effects(n_responses: int) -> tuple[PlantedEffect, ...]:
 
 
 @dataclass
-class SynthConfig:
+class SynthConfig(jsonio.Document):
     """Everything that determines one synthetic dataset; seed fixes it all."""
 
     n_samples: int = 300
@@ -178,61 +179,6 @@ class SynthConfig:
             suffix = "" if k < len(DEFAULT_RESPONSES) else f"_{k // len(DEFAULT_RESPONSES) + 1}"
             names.append(base + suffix)
         return tuple(names)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "n_samples": self.n_samples,
-            "n_sites": self.n_sites,
-            "n_responses": self.n_responses,
-            "weather_lag_days": self.weather_lag_days,
-            "missingness_profile": (
-                list(self.missingness_profile) if self.missingness_profile is not None else None
-            ),
-            "planted_effects": (
-                [
-                    {"variable": p.variable, "response": p.response, "size": p.size}
-                    for p in self.planted_effects
-                ]
-                if self.planted_effects is not None
-                else None
-            ),
-            "seed": self.seed,
-            "occurrence_profile": (
-                list(self.occurrence_profile) if self.occurrence_profile is not None else None
-            ),
-            "latent_noise_sd": self.latent_noise_sd,
-            "interaction_strength": self.interaction_strength,
-            "concentration_slope": self.concentration_slope,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        planted = d.get("planted_effects")
-        return cls(
-            n_samples=int(d.get("n_samples", 300)),
-            n_sites=int(d.get("n_sites", 100)),
-            n_responses=int(d.get("n_responses", 24)),
-            weather_lag_days=int(d.get("weather_lag_days", 90)),
-            missingness_profile=(
-                tuple(d["missingness_profile"]) if d.get("missingness_profile") is not None else None
-            ),
-            planted_effects=(
-                tuple(
-                    PlantedEffect(p["variable"], int(p["response"]), float(p["size"]))
-                    for p in planted
-                )
-                if planted is not None
-                else None
-            ),
-            seed=int(d.get("seed", 0)),
-            occurrence_profile=(
-                tuple(d["occurrence_profile"]) if d.get("occurrence_profile") is not None else None
-            ),
-            latent_noise_sd=float(d.get("latent_noise_sd", 0.5)),
-            interaction_strength=float(d.get("interaction_strength", 0.5)),
-            concentration_slope=float(d.get("concentration_slope", 1.0)),
-        )
 
 
 def _nearest_county(lat: float, lon: float) -> str:

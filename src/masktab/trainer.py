@@ -7,7 +7,7 @@ fixed batch composition (shuffling is off by default to preserve the block
 structure of the data), and a single generator driving dropout.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,10 @@ MODEL_KINDS = ("baseline", "pretrained-frozen", "pretrained-unfrozen")
 
 
 @dataclass
-class AEConfig:
+class AEConfig(jsonio.Document):
     """Autoencoder pre-training hyperparameters."""
+
+    VERSION = None
 
     encoder_dims: tuple[int, ...] = (512, 256, 128)
     dropout: float = 0.2
@@ -33,35 +35,9 @@ class AEConfig:
     holdout_fraction: float = 0.2
     include_test_rows: bool = False  # reconstruction may legitimately see test X
 
-    def to_dict(self) -> dict:
-        return {
-            "encoder_dims": list(self.encoder_dims),
-            "dropout": self.dropout,
-            "lr": self.lr,
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "holdout_fraction": self.holdout_fraction,
-            "include_test_rows": self.include_test_rows,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AEConfig":
-        base = cls()
-        return cls(
-            encoder_dims=tuple(d.get("encoder_dims", base.encoder_dims)),
-            dropout=float(d.get("dropout", base.dropout)),
-            lr=float(d.get("lr", base.lr)),
-            max_epochs=int(d.get("max_epochs", base.max_epochs)),
-            batch_size=int(d.get("batch_size", base.batch_size)),
-            patience=int(d.get("patience", base.patience)),
-            holdout_fraction=float(d.get("holdout_fraction", base.holdout_fraction)),
-            include_test_rows=bool(d.get("include_test_rows", base.include_test_rows)),
-        )
-
 
 @dataclass
-class TrainConfig:
+class TrainConfig(jsonio.Document):
     """Supervised training hyperparameters; defaults follow the reference protocol."""
 
     hidden_dims: tuple[int, ...] = (128, 64)
@@ -74,7 +50,6 @@ class TrainConfig:
     loss_weights: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
     ae: AEConfig = field(default_factory=AEConfig)
-    finetune_mode: str = "unfrozen"
 
     def __post_init__(self):
         if self.max_epochs < 1 or self.batch_size < 1:
@@ -83,45 +58,10 @@ class TrainConfig:
             raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
-        if self.finetune_mode not in ("frozen", "unfrozen"):
-            raise ValueError(f"unknown finetune_mode {self.finetune_mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "hidden_dims": list(self.hidden_dims),
-            "dropout": self.dropout,
-            "lr": self.lr,
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "shuffle": self.shuffle,
-            "loss_weights": list(self.loss_weights),
-            "seed": self.seed,
-            "ae": self.ae.to_dict(),
-            "finetune_mode": self.finetune_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        base = cls()
-        return cls(
-            hidden_dims=tuple(d.get("hidden_dims", base.hidden_dims)),
-            dropout=float(d.get("dropout", base.dropout)),
-            lr=float(d.get("lr", base.lr)),
-            max_epochs=int(d.get("max_epochs", base.max_epochs)),
-            batch_size=int(d.get("batch_size", base.batch_size)),
-            patience=int(d.get("patience", base.patience)),
-            shuffle=bool(d.get("shuffle", base.shuffle)),
-            loss_weights=tuple(d.get("loss_weights", base.loss_weights)),
-            seed=int(d.get("seed", base.seed)),
-            ae=AEConfig.from_dict(d.get("ae", {})),
-            finetune_mode=d.get("finetune_mode", base.finetune_mode),
-        )
 
 
 @dataclass
-class TrainHistory:
+class TrainHistory(jsonio.Document):
     """Per-epoch losses plus where training stopped and which epoch won."""
 
     train_mse: list[float] = field(default_factory=list)
@@ -136,22 +76,6 @@ class TrainHistory:
     @property
     def best_val_loss(self) -> float:
         return self.val_combined[self.best_epoch]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "train_mse": self.train_mse,
-            "train_bce": self.train_bce,
-            "train_combined": self.train_combined,
-            "val_mse": self.val_mse,
-            "val_bce": self.val_bce,
-            "val_combined": self.val_combined,
-            "best_epoch": self.best_epoch,
-            "stopped_epoch": self.stopped_epoch,
-        }
-
-    def save(self, path) -> None:
-        jsonio.dump(self.to_dict(), path)
 
 
 def _fit(
@@ -360,11 +284,12 @@ def finetune(
     ds: TabularDataset,
     split: SplitAssignment,
     cfg: TrainConfig,
+    frozen: bool = False,
 ) -> tuple[NetworkParams, TrainHistory]:
     """Attach fresh task heads to a pre-trained encoder and train.
 
-    Frozen mode keeps every encoder weight bit-identical and updates only the
-    heads; unfrozen mode trains end-to-end.
+    ``frozen`` keeps every encoder weight bit-identical and updates only the
+    heads; otherwise the network trains end-to-end.
     """
     if encoder[0].spec.in_dim != ds.n_features:
         raise ValueError(
@@ -373,9 +298,7 @@ def finetune(
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     fresh = nn_core.init_network([], _task_heads(encoder[-1].spec.out_dim, ds.n_responses), rng)
     params = NetworkParams(backbone=[l.copy() for l in encoder], heads=fresh.heads)
-    return _train_supervised(
-        params, ds, split, cfg, rng, freeze_backbone=(cfg.finetune_mode == "frozen")
-    )
+    return _train_supervised(params, ds, split, cfg, rng, freeze_backbone=frozen)
 
 
 def train_model(
@@ -392,8 +315,7 @@ def train_model(
     encoder, _ = pretrain_autoencoder(
         ds.X[ae_rows], cfg.ae, seed=cfg.seed, blocks=ds.blocks[ae_rows]
     )
-    mode = "frozen" if kind == "pretrained-frozen" else "unfrozen"
-    return finetune(encoder, ds, split, replace(cfg, finetune_mode=mode))
+    return finetune(encoder, ds, split, cfg, frozen=(kind == "pretrained-frozen"))
 
 
 def predict(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

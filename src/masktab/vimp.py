@@ -66,7 +66,9 @@ def grouped_variable_groups(schema: FeatureSchema) -> dict[str, list[int]]:
 
 
 @dataclass
-class ImportanceEntry:
+class ImportanceEntry(jsonio.Document):
+    VERSION = None
+
     group: str
     task: str
     baseline_loss: float
@@ -76,21 +78,9 @@ class ImportanceEntry:
     n_repeats: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "task": self.task,
-            "baseline_loss": self.baseline_loss,
-            "permuted_loss_mean": self.permuted_loss_mean,
-            "permuted_loss_sd": self.permuted_loss_sd,
-            "importance_pct": self.importance_pct,
-            "n_repeats": self.n_repeats,
-            "seed": self.seed,
-        }
-
 
 @dataclass
-class ImportanceReport:
+class ImportanceReport(jsonio.Document):
     entries: list[ImportanceEntry]
     groups: dict[str, list[int]]
     mode: str
@@ -100,48 +90,6 @@ class ImportanceReport:
 
     def task_entries(self, task: str) -> list[ImportanceEntry]:
         return [e for e in self.entries if e.task == task]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "mode": self.mode,
-            "n_repeats": self.n_repeats,
-            "seed": self.seed,
-            "rows_label": self.rows_label,
-            "groups": {g: list(cols) for g, cols in self.groups.items()},
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImportanceReport":
-        entries = [
-            ImportanceEntry(
-                group=e["group"],
-                task=e["task"],
-                baseline_loss=float(e["baseline_loss"]),
-                permuted_loss_mean=float(e["permuted_loss_mean"]),
-                permuted_loss_sd=float(e["permuted_loss_sd"]),
-                importance_pct=float(e["importance_pct"]),
-                n_repeats=int(e["n_repeats"]),
-                seed=int(e["seed"]),
-            )
-            for e in d["entries"]
-        ]
-        return cls(
-            entries=entries,
-            groups={g: [int(c) for c in cols] for g, cols in d["groups"].items()},
-            mode=d["mode"],
-            n_repeats=int(d["n_repeats"]),
-            seed=int(d["seed"]),
-            rows_label=d.get("rows_label", "test"),
-        )
-
-    def save(self, path) -> None:
-        jsonio.dump(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "ImportanceReport":
-        return cls.from_dict(jsonio.load(path))
 
 
 def _child_seed(seed: int, task: str, group: str) -> int:

@@ -7,7 +7,6 @@ uncaptured so the verdicts are visible live. The learning-based criteria
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,8 +359,8 @@ def test_c07_transfer_mode_ordering(check):
         encoder, _ = pretrain_autoencoder(
             ds.X[rows], tc.ae, seed=seed, blocks=ds.blocks[rows]
         )
-        frozen, _ = finetune(encoder, ds, split, replace(tc, finetune_mode="frozen"))
-        unfrozen, _ = finetune(encoder, ds, split, replace(tc, finetune_mode="unfrozen"))
+        frozen, _ = finetune(encoder, ds, split, tc, frozen=True)
+        unfrozen, _ = finetune(encoder, ds, split, tc, frozen=False)
         gaps.append(
             combined_test_loss(frozen, ds, split.test_rows)
             - combined_test_loss(unfrozen, ds, split.test_rows)

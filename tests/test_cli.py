@@ -141,8 +141,21 @@ class TestExitCodes:
         {"importance": {"mode": "grouped", "repeats": 0}},
         {"synth": 5},
         {"train": ["x"]},
+        {"train": {"learning_rate": 0.01}},
+        {"train": {"ae": {"hiden_dims": [8]}}},
+        {"train": {"finetune_mode": "frozen"}},
+        {"synth": {**SMALL_SYNTH, "n_sample": 50}},
+        {"preprocess": {"test_fraction": 0.2, "tset_fraction": 0.3}},
+        {"importance": {"repeat": 3}},
+        {"models": "baseline"},
+        {"preprocess": {"test_fraction": -0.2}},
+        {"preprocess": {"test_fraction": 1.5}},
+        {"preprocess": {"val_fraction_of_train": 1.0}},
     ], ids=["train-dropout", "seed", "synth-profile", "importance-mode", "importance-repeats",
-            "synth-not-object", "train-not-object"])
+            "synth-not-object", "train-not-object", "train-unknown-key", "train-ae-unknown-key",
+            "train-finetune-mode", "synth-unknown-key", "preprocess-unknown-key",
+            "importance-unknown-key", "models-not-list", "test-fraction-negative",
+            "test-fraction-above-one", "val-fraction-one"])
     def test_bad_pipeline_setting_is_config_error_before_training(self, tmp_path, capsys,
                                                                   override):
         # the same exit code as the subcommand that takes the setting, and no
@@ -152,6 +165,68 @@ class TestExitCodes:
         assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not list(out.glob("ckpt_*"))
+        assert not (out / "dataset" / "split.json").exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("train", {**SMALL_TRAIN, "hiden_dims": [8]}, "hiden_dims"),
+        ("train", {**SMALL_TRAIN, "ae": {"learning_rate": 0.01}}, "learning_rate"),
+        ("generate", {**SMALL_SYNTH, "n_sample": 50}, "n_sample"),
+    ], ids=["train", "train-ae", "generate"])
+    def test_unknown_config_key_is_config_error(self, pipeline_dir, tmp_path, capsys,
+                                                command, config, key):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        out = tmp_path / "out"
+        ds_dir = pipeline_dir / "dataset"
+        argv = {
+            "train": ["--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+                      "--model", "baseline"],
+            "generate": [],
+        }[command]
+        assert main([command, *argv, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--test-fraction=-0.2", "--test-fraction=1.5",
+                                      "--val-fraction=1.0"])
+    def test_out_of_range_split_fraction_is_config_error(self, tmp_path, capsys, flag):
+        synth_cfg = write_json(tmp_path / "synth.json", SMALL_SYNTH)
+        raw_dir, ds_dir = tmp_path / "raw", tmp_path / "ds"
+        assert main(["generate", "--config", synth_cfg, "--out", str(raw_dir)]) == EXIT_OK
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(ds_dir), flag]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (ds_dir / "split.json").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(train_row=d.pop("train_rows")),
+        lambda d: d.update(test_rows="all"),
+    ], ids=["unknown-key", "rows-not-a-list"])
+    def test_malformed_split_is_data_error(self, pipeline_dir, tmp_path, capsys, edit):
+        doc = json.loads((pipeline_dir / "dataset" / "split.json").read_text())
+        edit(doc)
+        split = write_json(tmp_path / "split.json", doc)
+        out = tmp_path / "out.json"
+        assert main([
+            "evaluate", "--dataset", str(pipeline_dir / "dataset"), "--split", split,
+            "--ckpt", str(pipeline_dir / "ckpt_baseline.json"), "--out", str(out),
+        ]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    def test_truncated_checkpoint_is_data_error(self, pipeline_dir, tmp_path, capsys, command):
+        doc = json.loads((pipeline_dir / "ckpt_baseline.json").read_text())
+        payload = doc["layers"][0]["W"]
+        doc["layers"][0]["W"] = payload[: len(payload) // 2 // 4 * 4 + 4]
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        ds_dir, out = pipeline_dir / "dataset", tmp_path / "out.json"
+        assert main([
+            command, "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--ckpt", str(ckpt), "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "backbone.0.W" in err
+        assert not out.exists()
 
     def test_invalid_synth_profile_is_config_error(self, tmp_path):
         cfg = write_json(
@@ -264,6 +339,14 @@ class TestPipeline:
             "--ckpt", str(pipeline_dir / "ckpt_baseline.json"), "--out", str(out),
         ]) == EXIT_OK
         assert out.read_bytes() == (pipeline_dir / "eval_baseline.json").read_bytes()
+
+    def test_stages_share_one_parse_of_the_dataset(self, tmp_path, monkeypatch):
+        import masktab.cli
+
+        real, calls = masktab.cli.load_dataset, []
+        monkeypatch.setattr(masktab.cli, "load_dataset", lambda d: calls.append(d) or real(d))
+        run_pipeline(SMALL_PIPELINE, tmp_path / "art")
+        assert len(calls) == 1
 
     def test_single_model_winners_agree_with_report(self, tmp_path):
         out = tmp_path / "art"

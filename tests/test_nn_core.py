@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,17 @@ class TestDeterminismAndCheckpoint:
         for (pa, la), (pb, lb) in zip(params.named_layers(), loaded.named_layers()):
             assert pa == pb
             assert la.spec == lb.spec
+
+    @pytest.mark.parametrize("layer, array, keep", [(0, "W", 12), (2, "b", 8), (1, "W", 4)])
+    def test_truncated_checkpoint_payload_named(self, tmp_path, layer, array, keep):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_network(seed=4), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][layer][array] = doc["layers"][layer][array][:keep]
+        path.write_text(json.dumps(doc))
+        name = f"{doc['layers'][layer]['path']}.{array}"
+        with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+            load_checkpoint(path)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         params = small_network(seed=4)

@@ -261,6 +261,16 @@ class TestBlockSplit:
         tests = {tuple(split_blocks(blocks, y, m, seed=s).test_rows) for s in range(20)}
         assert len(tests) > 1
 
+    @pytest.mark.parametrize("test_fraction, val_fraction", [
+        (0.0, 0.2), (1.0, 0.2), (-0.2, 0.2), (1.5, 0.2), (float("nan"), 0.2),
+        (0.2, -0.1), (0.2, 1.0),
+    ])
+    def test_out_of_range_fractions_rejected(self, test_fraction, val_fraction):
+        blocks, y, m = self.equal_blocks()
+        with pytest.raises(ValueError, match="fraction"):
+            split_blocks(blocks, y, m, test_fraction=test_fraction,
+                         val_fraction_of_train=val_fraction)
+
     def test_too_few_blocks_rejected(self):
         blocks = np.array(["a", "a", "b"], dtype=object)
         with pytest.raises(ValueError, match="at least 3"):

@@ -173,8 +173,8 @@ class TestFinetune:
         ds, split = planted
         encoder = self.make_encoder(ds)
         before = [(l.W.copy(), l.b.copy()) for l in encoder]
-        cfg = quick_cfg(finetune_mode="frozen", max_epochs=8, patience=8)
-        params, _ = finetune(encoder, ds, split, cfg)
+        cfg = quick_cfg(max_epochs=8, patience=8)
+        params, _ = finetune(encoder, ds, split, cfg, frozen=True)
         for (w0, b0), layer in zip(before, params.backbone):
             assert np.array_equal(w0, layer.W)
             assert np.array_equal(b0, layer.b)
@@ -184,8 +184,8 @@ class TestFinetune:
         # the path it replaced ran both in full on zeroed backbone gradients
         ds, split = planted
         encoder = self.make_encoder(ds)
-        cfg = quick_cfg(finetune_mode="frozen", max_epochs=8, patience=8)
-        params, hist = finetune(encoder, ds, split, cfg)
+        cfg = quick_cfg(max_epochs=8, patience=8)
+        params, hist = finetune(encoder, ds, split, cfg, frozen=True)
 
         full_backward, full_adam = nn_core.backward, nn_core.adam_step
         calls = []
@@ -201,7 +201,7 @@ class TestFinetune:
 
         monkeypatch.setattr(nn_core, "backward", zeroed_backward)
         monkeypatch.setattr(nn_core, "adam_step", lambda p, g, s, backbone=True: full_adam(p, g, s))
-        old_params, old_hist = finetune(encoder, ds, split, cfg)
+        old_params, old_hist = finetune(encoder, ds, split, cfg, frozen=True)
         assert calls and not any(calls)
         assert np.array_equal(params.flat, old_params.flat)
         assert hist.to_dict() == old_hist.to_dict()
@@ -210,7 +210,7 @@ class TestFinetune:
         ds, split = planted
         encoder = self.make_encoder(ds)
         before = flatten_encoder(encoder)
-        cfg = quick_cfg(finetune_mode="unfrozen", max_epochs=3, patience=3)
+        cfg = quick_cfg(max_epochs=3, patience=3)
         params, _ = finetune(encoder, ds, split, cfg)
         assert not np.array_equal(before, flatten_encoder(params.backbone))
 
@@ -218,7 +218,7 @@ class TestFinetune:
         ds, split = planted
         encoder = self.make_encoder(ds)
         before = flatten_encoder(encoder)
-        cfg = quick_cfg(finetune_mode="unfrozen", max_epochs=3, patience=3)
+        cfg = quick_cfg(max_epochs=3, patience=3)
         finetune(encoder, ds, split, cfg)
         assert np.array_equal(before, flatten_encoder(encoder))
 
