@@ -175,15 +175,28 @@ def _train_and_save(ds, split, cfg: TrainConfig, model: str, out) -> TrainHistor
     return history
 
 
-def _load_checkpoint(ckpt):
+def _load_checkpoint(ckpt, ds) -> nn_core.NetworkParams:
+    """The checkpoint's network, which must read the dataset's columns and
+    predict its responses with a ``cont`` and a ``bin`` head."""
     try:
-        return nn_core.load_checkpoint(ckpt)
+        params, _ = nn_core.load_checkpoint(ckpt)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"unreadable checkpoint {ckpt}: {exc}") from exc
+    for head in ("cont", "bin"):
+        if head not in params.heads:
+            raise DataError(f"checkpoint {ckpt} has no {head} head")
+        width = params.heads[head][-1].spec.out_dim
+        if width != ds.n_responses:
+            raise DataError(f"checkpoint {ckpt} head {head!r} predicts {width} responses, "
+                            f"the dataset has {ds.n_responses}")
+    if params.input_dim != ds.n_features:
+        raise DataError(f"checkpoint {ckpt} reads {params.input_dim} input columns, "
+                        f"the dataset has {ds.n_features}")
+    return params
 
 
 def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
-    params, _ = _load_checkpoint(ckpt)
+    params = _load_checkpoint(ckpt, ds)
     rows = split.test_rows
     cont_hat, bin_prob = trainer.predict(params, ds.X[rows])
     report = evaluate_predictions(
@@ -195,7 +208,7 @@ def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
 
 
 def _importance_and_save(ds, split, ckpt, mode: str, repeats: int, seed: int, out):
-    params, _ = _load_checkpoint(ckpt)
+    params = _load_checkpoint(ckpt, ds)
     report = importance_report(
         params, ds, split.test_rows, mode=mode, n_repeats=repeats, seed=seed,
     )

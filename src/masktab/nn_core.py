@@ -178,7 +178,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """A layer's activation function applied to its pre-activation z."""
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
@@ -224,7 +225,7 @@ def _run_stack(
         # divergence surfaces as the non-finite check in forward, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             z = x @ layer.W.T + layer.b
-            a = _activate(z, layer.spec.activation)
+            a = activate(z, layer.spec.activation)
             drop = None
             out = a
             if mode == "train" and layer.spec.dropout_rate > 0.0:
@@ -474,4 +475,21 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             backbone.append(layer)
         else:
             heads.setdefault(group, []).append(layer)
+    _check_chain(backbone, heads)
     return NetworkParams(backbone=backbone, heads=heads), doc.get("extra", {})
+
+
+def _check_chain(backbone: list[DenseLayer], heads: dict[str, list[DenseLayer]]) -> None:
+    """Each layer must read the width the layer before it writes, and each
+    head's first layer the backbone's output width (with no backbone, the
+    input width every head reads)."""
+    trunk = backbone[-1].spec.out_dim if backbone else None
+    for stack, layers in [("backbone", backbone), *sorted(heads.items())]:
+        width = None if stack == "backbone" else trunk
+        for i, layer in enumerate(layers):
+            if width is not None and layer.spec.in_dim != width:
+                raise ValueError(f"checkpoint layer {stack}.{i} reads {layer.spec.in_dim} "
+                                 f"inputs where {width} arrive")
+            width = layer.spec.out_dim
+        if trunk is None and layers:
+            trunk = layers[0].spec.in_dim

@@ -35,6 +35,10 @@ class AEConfig(jsonio.Document):
     holdout_fraction: float = 0.2
     include_test_rows: bool = False  # reconstruction may legitimately see test X
 
+    def __post_init__(self):
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ValueError(f"ae.holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
+
 
 @dataclass
 class TrainConfig(jsonio.Document):

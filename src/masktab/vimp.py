@@ -7,6 +7,13 @@ always permuted together with the same row permutation, so permuted one-hot
 rows remain valid level assignments. Grouped mode additionally bundles the
 daily lag columns of one weather variable (and the sin/cos pair of one date)
 into a single feature history.
+
+Each repeat does only the work its permutation changes. A task reads one
+head, so only the task's layer chain (backbone plus that head) runs. The
+first layer's pre-activation on the unpermuted rows is computed once per
+group; a permutation of the group's columns changes it by a rank-|group|
+update, and the rest of the chain runs from there. The repeats' losses are
+scored together as one stack.
 """
 
 import hashlib
@@ -17,8 +24,8 @@ import numpy as np
 
 from . import jsonio
 from .data_model import FeatureSchema, TabularDataset
-from .masked_loss import MaskedBatch, masked_bce, masked_mse
-from .nn_core import NetworkParams, forward
+from .masked_loss import MaskedBatch, masked_loss
+from .nn_core import DenseLayer, NetworkParams, activate, forward
 
 TASKS = ("regression", "classification")
 IMPORTANCE_MODES = ("grouped", "per-column")
@@ -27,15 +34,40 @@ _LAG_RE = re.compile(r"^(.+)_lag_\d+$")
 _SINCOS_RE = re.compile(r"^(.+)_(sin|cos)$")
 
 
-def _task_loss(params: NetworkParams, X: np.ndarray, ds: TabularDataset, rows, task: str) -> float:
-    out, _ = forward(params, X, mode="infer")
-    if task == "regression":
-        loss, _ = masked_mse(MaskedBatch(y=ds.Y_cont[rows], y_hat=out["cont"], m=ds.M[rows]))
-    elif task == "classification":
-        loss, _ = masked_bce(MaskedBatch(y=ds.Y_bin[rows], y_hat=out["bin"], m=ds.M[rows]))
-    else:
+# task -> (network head it reads, masked loss that scores it)
+_TASK_HEADS = {"regression": ("cont", "mse"), "classification": ("bin", "bce")}
+
+
+def _task_head(task: str) -> tuple[str, str]:
+    if task not in _TASK_HEADS:
         raise ValueError(f"unknown task {task!r}")
-    return loss
+    return _TASK_HEADS[task]
+
+
+def _task_losses(out: np.ndarray, ds: TabularDataset, rows, task: str) -> np.ndarray:
+    """The task's masked loss of each prediction in ``out`` (..., rows, responses)."""
+    head, kind = _task_head(task)
+    y = ds.Y_cont[rows] if head == "cont" else ds.Y_bin[rows]
+    return masked_loss(kind, MaskedBatch(y=y, y_hat=out, m=ds.M[rows]))
+
+
+def _task_chain(params: NetworkParams, task: str) -> tuple[DenseLayer, NetworkParams]:
+    """The first layer of the task's chain, and the rest of the chain as a
+    network with only the task's head. With no backbone the head's first
+    layer comes first."""
+    head, _ = _task_head(task)
+    layers = params.heads[head]
+    if params.backbone:
+        return params.backbone[0], NetworkParams(params.backbone[1:], {head: layers})
+    return layers[0], NetworkParams([], {head: layers[1:]})
+
+
+def _task_loss(params: NetworkParams, X: np.ndarray, ds: TabularDataset, rows, task: str) -> float:
+    """The task's masked loss on unpermuted rows, from one forward pass."""
+    head, _ = _task_head(task)
+    chain = NetworkParams(params.backbone, {head: params.heads[head]})
+    out, _ = forward(chain, X, mode="infer")
+    return float(_task_losses(out[head], ds, rows, task))
 
 
 def per_column_groups(schema: FeatureSchema) -> dict[str, list[int]]:
@@ -126,13 +158,21 @@ def permutation_importance(
         baseline_loss = _task_loss(params, X, ds, rows, task)
     entry_seed = _child_seed(seed, task, group)
     rng = np.random.default_rng(np.random.PCG64(entry_seed))
-    losses = np.empty(n_repeats)
-    X_perm = X.copy()
-    for r in range(n_repeats):
-        perm = rng.permutation(rows.size)
-        X_perm[:, columns] = X[perm][:, columns]
-        losses[r] = _task_loss(params, X_perm, ds, rows, task)
-        X_perm[:, columns] = X[:, columns]
+    first, rest = _task_chain(params, task)
+    (head,) = rest.heads
+    Xc = X[:, columns]
+    W1c = first.W[:, columns].T
+    outs = np.empty((n_repeats, rows.size, params.heads[head][-1].spec.out_dim))
+    # divergence surfaces as forward's non-finite check, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z0 = X @ first.W.T + first.b
+        for r in range(n_repeats):
+            perm = rng.permutation(rows.size)
+            # np.dot, not @: matmul takes a slow path when the group has one column
+            Z = Z0 + np.dot(Xc[perm] - Xc, W1c)
+            out, _ = forward(rest, activate(Z, first.spec.activation), mode="infer")
+            outs[r] = out[head]
+    losses = _task_losses(outs, ds, rows, task)
     if losses.min() == losses.max():  # keep exact equality when repeats agree
         mean, sd = float(losses[0]), 0.0
     else:

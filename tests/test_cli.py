@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -34,6 +35,19 @@ SMALL_PIPELINE = {
 def write_json(path, obj):
     jsonio.dump(obj, path)
     return str(path)
+
+
+def cut_last_unit(layer: dict, path: str, dim: str) -> dict:
+    """The layer at ``path`` with its last input (``dim="in_dim"``) or output
+    (``"out_dim"``) unit cut, payloads included; other layers unchanged."""
+    if layer["path"] != path:
+        return layer
+    W, b = (np.frombuffer(base64.b64decode(layer[a]), dtype="<f8") for a in ("W", "b"))
+    W = W.reshape(layer["out_dim"], layer["in_dim"])
+    W, b = (W[:, :-1], b) if dim == "in_dim" else (W[:-1], b[:-1])
+    payload = {a: base64.b64encode(np.ascontiguousarray(v).tobytes()).decode("ascii")
+               for a, v in (("W", W), ("b", b))}
+    return {**layer, dim: layer[dim] - 1, **payload}
 
 
 class TestStageCommands:
@@ -227,6 +241,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "backbone.0.W" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda layers: [l for l in layers if not l["path"].startswith("bin.")], "no bin head"),
+        (lambda layers: [cut_last_unit(l, "backbone.0", "in_dim") for l in layers],
+         "input columns"),
+        (lambda layers: [cut_last_unit(l, "cont.0", "out_dim") for l in layers],
+         "predicts"),
+    ], ids=["no-bin-head", "one-column-narrower", "one-response-narrower"])
+    def test_checkpoint_not_fitting_the_dataset_is_data_error(
+        self, pipeline_dir, tmp_path, capsys, command, edit, message
+    ):
+        doc = json.loads((pipeline_dir / "ckpt_baseline.json").read_text())
+        doc["layers"] = edit(doc["layers"])
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        ds_dir, out = pipeline_dir / "dataset", tmp_path / "out.json"
+        assert main([
+            command, "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--ckpt", str(ckpt), "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_out_of_range_holdout_fraction_is_config_error(self, pipeline_dir, tmp_path, capsys,
+                                                           command, fraction):
+        train = {**SMALL_TRAIN, "ae": {**SMALL_TRAIN["ae"], "holdout_fraction": fraction}}
+        out = tmp_path / "out"
+        if command == "train":
+            ds_dir = pipeline_dir / "dataset"
+            cfg = write_json(tmp_path / "train.json", train)
+            argv = ["train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+                    "--model", "pretrained-frozen", "--config", cfg, "--out", str(out)]
+        else:
+            cfg = write_json(tmp_path / "p.json", {**SMALL_PIPELINE, "train": train})
+            argv = ["pipeline", "--config", cfg, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "ae.holdout_fraction" in err
+        assert not out.exists() or not list(out.glob("ckpt_*"))
 
     def test_invalid_synth_profile_is_config_error(self, tmp_path):
         cfg = write_json(

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from masktab.masked_loss import EPSILON, MaskedBatch, combined_loss, masked_bce, masked_mse
+from masktab.masked_loss import (
+    EPSILON,
+    MaskedBatch,
+    combined_loss,
+    masked_bce,
+    masked_loss,
+    masked_mse,
+)
 
 
 def finite_diff(loss_fn, y_hat, h=1e-5):
@@ -184,3 +191,41 @@ class TestCombinedLoss:
         short = MaskedBatch(y=binary.y[:2], y_hat=binary.y_hat[:2], m=binary.m[:2])
         with pytest.raises(ValueError, match="row-count mismatch"):
             combined_loss(cont, short)
+
+
+class TestStackedLoss:
+    @staticmethod
+    def stack(kind):
+        rng = np.random.default_rng(7)
+        n, k, r = 9, 4, 6
+        m = (rng.random((n, k)) > 0.3).astype(float)
+        m[0] = 0.0  # a fully masked sample
+        if kind == "mse":
+            y = rng.standard_normal((n, k))
+            y_hat = rng.standard_normal((r, n, k))
+        else:
+            y = (rng.random((n, k)) > 0.5).astype(float)
+            y_hat = rng.random((r, n, k))
+            y_hat[0, 1, :2] = (0.0, 1.0)  # inside the clip region
+        y[m == 0] = np.nan
+        return y, y_hat, m
+
+    @pytest.mark.parametrize("kind, single", [("mse", masked_mse), ("bce", masked_bce)])
+    def test_each_entry_is_the_single_prediction_loss(self, kind, single):
+        y, y_hat, m = self.stack(kind)
+        losses = masked_loss(kind, MaskedBatch(y=y, y_hat=y_hat, m=m))
+        expected = [single(MaskedBatch(y=y, y_hat=p, m=m))[0] for p in y_hat]
+        assert losses.shape == (y_hat.shape[0],)
+        assert np.array_equal(losses, expected)
+
+    def test_single_prediction_losses_reject_a_stack(self):
+        y, y_hat, m = self.stack("mse")
+        with pytest.raises(ValueError, match="one .* prediction"):
+            masked_mse(MaskedBatch(y=y, y_hat=y_hat, m=m))
+
+    def test_stack_shape_mismatch_and_unknown_kind_raise(self):
+        y, y_hat, m = self.stack("mse")
+        with pytest.raises(ValueError, match="shape mismatch"):
+            MaskedBatch(y=y, y_hat=y_hat[:, :-1], m=m)
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            masked_loss("mae", MaskedBatch(y=y, y_hat=y_hat, m=m))

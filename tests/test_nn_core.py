@@ -390,6 +390,23 @@ class TestDeterminismAndCheckpoint:
         with pytest.raises(ValueError, match=name.replace(".", r"\.")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("backbone, heads, name", [
+        ([(5, 4), (3, 3)], {"cont": [(3, 2)], "bin": [(3, 2)]}, "backbone.1"),
+        ([(5, 4), (4, 3)], {"cont": [(3, 2)], "bin": [(4, 2)]}, "bin.0"),
+        ([(5, 4)], {"cont": [(4, 6), (5, 2)], "bin": [(4, 2)]}, "cont.1"),
+        ([], {"cont": [(5, 2)], "bin": [(6, 2)]}, "cont.0"),
+    ], ids=["backbone", "head-reads-backbone", "within-head", "heads-without-backbone"])
+    def test_broken_layer_chain_named(self, tmp_path, backbone, heads, name):
+        params = init_network(
+            [LayerSpec(i, o) for i, o in backbone],
+            {h: [LayerSpec(i, o) for i, o in dims] for h, dims in heads.items()},
+            np.random.default_rng(0),
+        )
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+            load_checkpoint(path)
+
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         params = small_network(seed=4)
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import masktab.vimp
 from conftest import make_dataset
 from masktab.masked_loss import MaskedBatch, masked_bce, masked_mse
-from masktab.nn_core import DenseLayer, LayerSpec, NetworkParams
+from masktab.nn_core import DenseLayer, LayerSpec, NetworkParams, forward, init_network
 from masktab.preprocess import preprocess_raw
 from masktab.synthgen import SynthConfig, generate
 from masktab.trainer import TrainConfig, predict, train_baseline
 from masktab.vimp import (
+    ImportanceEntry,
+    _child_seed,
     grouped_variable_groups,
     importance_report,
     per_column_groups,
@@ -205,3 +208,122 @@ def test_growing_planted_effect_does_not_lose_rank():
             ranks.append(ordering.index("seed_moisture") + 1)
         median_ranks.append(float(np.median(ranks)))
     assert median_ranks[0] >= median_ranks[1] >= median_ranks[2]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: permutation importance by a full forward pass of the permuted rows
+# per repeat and one masked_mse/masked_bce call per loss.
+# ---------------------------------------------------------------------------
+
+def oracle_task_loss(params, X, ds, rows, task):
+    out, _ = forward(params, X, mode="infer")
+    if task == "regression":
+        loss, _ = masked_mse(MaskedBatch(y=ds.Y_cont[rows], y_hat=out["cont"], m=ds.M[rows]))
+    else:
+        loss, _ = masked_bce(MaskedBatch(y=ds.Y_bin[rows], y_hat=out["bin"], m=ds.M[rows]))
+    return loss
+
+
+def oracle_permutation_importance(params, ds, rows, group, columns, task, n_repeats, seed):
+    rows = np.asarray(rows, dtype=np.int64)
+    X = ds.X[rows]
+    baseline_loss = oracle_task_loss(params, X, ds, rows, task)
+    entry_seed = _child_seed(seed, task, group)
+    rng = np.random.default_rng(np.random.PCG64(entry_seed))
+    losses = np.empty(n_repeats)
+    X_perm = X.copy()
+    for r in range(n_repeats):
+        perm = rng.permutation(rows.size)
+        X_perm[:, columns] = X[perm][:, columns]
+        losses[r] = oracle_task_loss(params, X_perm, ds, rows, task)
+        X_perm[:, columns] = X[:, columns]
+    if losses.min() == losses.max():
+        mean, sd = float(losses[0]), 0.0
+    else:
+        mean, sd = float(losses.mean()), float(losses.std())
+    if baseline_loss != 0.0:
+        importance = 100.0 * (mean - baseline_loss) / baseline_loss
+    else:
+        importance = 0.0 if mean == 0.0 else float("inf")
+    return ImportanceEntry(
+        group=group, task=task, baseline_loss=float(baseline_loss), permuted_loss_mean=mean,
+        permuted_loss_sd=sd, importance_pct=importance, n_repeats=n_repeats, seed=entry_seed,
+    )
+
+
+def assert_matches_oracle(params, ds, rows, groups, n_repeats, seed):
+    report = importance_report(params, ds, rows, groups=groups, n_repeats=n_repeats, seed=seed)
+    assert len(report.entries) == 2 * len(groups)
+    for e in report.entries:
+        ref = oracle_permutation_importance(
+            params, ds, rows, e.group, groups[e.group], e.task, n_repeats, seed
+        )
+        assert (e.group, e.task, e.n_repeats) == (ref.group, ref.task, ref.n_repeats)
+        assert e.baseline_loss == ref.baseline_loss
+        assert e.seed == ref.seed
+        for name in ("permuted_loss_mean", "permuted_loss_sd"):
+            assert getattr(e, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-15)
+        assert e.importance_pct == pytest.approx(ref.importance_pct, rel=0.0, abs=1e-9)
+
+
+def two_layer_head_net(p: int, k: int, backbone: tuple[int, ...], seed: int) -> NetworkParams:
+    dims = (p,) + backbone
+    trunk = [LayerSpec(dims[i], dims[i + 1]) for i in range(len(backbone))]
+    heads = {
+        "cont": [LayerSpec(dims[-1], 5), LayerSpec(5, k, "linear")],
+        "bin": [LayerSpec(dims[-1], 5), LayerSpec(5, k, "sigmoid")],
+    }
+    return init_network(trunk, heads, np.random.default_rng(seed))
+
+
+class TestAgainstFullForwardOracle:
+    @pytest.mark.parametrize("mode", ["grouped", "per-column"])
+    def test_trained_network(self, trained, mode):
+        ds, split, params = trained
+        groups = (grouped_variable_groups if mode == "grouped" else per_column_groups)(ds.schema)
+        assert_matches_oracle(params, ds, split.test_rows, groups, n_repeats=4, seed=3)
+
+    def test_empty_backbone(self, small_dataset):
+        ds = small_dataset
+        w = np.random.default_rng(4).standard_normal((ds.n_responses, ds.n_features))
+        params = linear_net(w, ds.n_responses)
+        groups = {**per_column_groups(ds.schema), **ds.schema.groups()}
+        assert_matches_oracle(params, ds, np.arange(ds.n_samples), groups, n_repeats=6, seed=1)
+
+    @pytest.mark.parametrize("backbone", [(), (7,)], ids=["no-backbone", "one-layer-backbone"])
+    def test_two_layer_head(self, small_dataset, backbone):
+        ds = small_dataset
+        params = two_layer_head_net(ds.n_features, ds.n_responses, backbone, seed=2)
+        groups = {**per_column_groups(ds.schema), **ds.schema.groups()}
+        assert_matches_oracle(params, ds, np.arange(ds.n_samples), groups, n_repeats=6, seed=5)
+
+    def test_non_binary_target_still_rejected(self, small_dataset):
+        ds = small_dataset
+        ds.Y_bin[ds.M == 1.0] = 0.5
+        params = two_layer_head_net(ds.n_features, ds.n_responses, (), seed=0)
+        with pytest.raises(ValueError, match="not in"):
+            permutation_importance(params, ds, np.arange(ds.n_samples), "x0", [0],
+                                   "classification", n_repeats=3, baseline_loss=1.0)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_non_finite_first_layer_still_raises(self, trained, task):
+        ds, split, params = trained
+        broken = params.copy()
+        broken.backbone[0].b[0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            permutation_importance(broken, ds, split.test_rows, "g", [0], task,
+                                   n_repeats=2, baseline_loss=1.0)
+
+
+@pytest.mark.parametrize("mode", ["grouped", "per-column"])
+def test_one_forward_per_repeat_and_one_baseline_per_task(trained, monkeypatch, mode):
+    ds, split, params = trained
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(masktab.vimp, "forward", counting_forward)
+    report = importance_report(params, ds, split.test_rows, mode=mode, n_repeats=3, seed=0)
+    assert len(calls) == 2 * (len(report.groups) * 3 + 1)
