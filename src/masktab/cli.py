@@ -154,7 +154,7 @@ def _load_dataset_and_split(dataset_dir, split_path):
     split_file = _require_file(split_path, "split file", "run `masktab preprocess` first")
     try:
         ds, split = load_dataset(ds_dir), SplitAssignment.load(split_file)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OSError, StopIteration, TypeError, ValueError) as exc:
         raise DataError(f"unreadable dataset {ds_dir} or split {split_file}: {exc}") from exc
     bad = split.violations(ds.blocks)
     if bad:
@@ -294,7 +294,12 @@ def build_report(artifact_dir) -> tuple[dict, str]:
     eval_files = sorted(art.glob("eval_*.json"))
     if not eval_files:
         raise DataError(f"no eval_*.json artifacts in {art} (run `masktab evaluate` first)")
-    reports = {p.stem[len("eval_"):]: EvalReport.load(p) for p in eval_files}
+    reports = {}
+    for p in eval_files:
+        try:
+            reports[p.stem[len("eval_"):]] = EvalReport.load(p)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"unreadable evaluation artifact {p}: {exc}") from exc
     ranking = winner_ranking(reports)
     rows = []
     for name in sorted(reports):
@@ -643,7 +648,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"masktab {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"masktab {args.command}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:

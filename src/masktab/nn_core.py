@@ -146,9 +146,6 @@ class NetworkParams:
     def zeros_like(self) -> "NetworkParams":
         return self._with_flat(np.zeros_like(self.flat))
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
 
 def glorot_uniform(spec: LayerSpec, rng: np.random.Generator) -> DenseLayer:
     """Uniform Glorot weights, zero biases."""
@@ -170,12 +167,9 @@ def init_network(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: exp only ever sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def activate(z: np.ndarray, kind: str) -> np.ndarray:

@@ -290,19 +290,26 @@ def _divergence(sel_pos, sel_obs, rest_pos, rest_obs) -> float:
     if not both.any():
         return 0.0
     gap = np.abs(sel_pos[both] / sel_obs[both] - rest_pos[both] / rest_obs[both])
-    return float(gap.mean())
+    return float(gap.sum() / gap.size)
 
 
-def _gap_objective(sp, so, rp, ro) -> np.ndarray:
+def _gap_objective(sp, so, tot_p, tot_o) -> np.ndarray:
     """max + 0.02*mean positive-rate gap for stacked candidate partitions.
 
-    Inputs broadcast over leading candidate axes; the response axis is last.
+    sp/so count the selected side's positive and observed cells per response
+    and stack candidates on a leading axis (at most one); the rest side is
+    total - selected. A side with no observed cells has no positives either,
+    so its 0/0 rate is masked out with the response.
     """
+    rp, ro = tot_p - sp, tot_o - so
     both = (so > 0) & (ro > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        gaps = np.abs(sp / np.maximum(so, 1e-12) - rp / np.maximum(ro, 1e-12))
+        gaps = np.abs(sp / so - rp / ro)
     gaps = np.where(both, gaps, 0.0)
-    return gaps.max(axis=-1) + 0.02 * gaps.mean(axis=-1)
+    # max is exact in any order, and over the transposed copy it runs as
+    # contiguous elementwise passes; the mean keeps its last-axis pairwise sum
+    worst = np.ascontiguousarray(gaps.T).max(axis=0)
+    return worst + 0.02 * (gaps.sum(axis=-1) / gaps.shape[-1])
 
 
 # refinement stops once the worst per-response gap is this small (well inside
@@ -324,6 +331,10 @@ def _refine_partition(
     Candidates must keep the selected side within half the largest block of
     its capacity and may never empty a side. Deterministic: candidates are
     ranked in a fixed order and the first best improvement is applied.
+
+    Every block's positive and observed entries count 0/1 cells, so each side
+    total is an exact integer in float64 whatever the order of addition: the
+    selected side is kept as running sums and the rest side is total - sel.
     """
     if not sel or not rest:
         return sel, rest
@@ -331,59 +342,61 @@ def _refine_partition(
     sizes = np.array([len(block_rows[lab]) for lab in labels], dtype=np.float64)
     pos = np.vstack([pos_of[lab] for lab in labels])
     obs = np.vstack([obs_of[lab] for lab in labels])
-    in_sel = np.array([lab in set(sel) for lab in labels])
+    in_sel = np.arange(len(labels)) < len(sel)
     window = sizes.max() / 2.0
+    tot_p, tot_o = pos.sum(axis=0), obs.sum(axis=0)
+    sp, so = pos[in_sel].sum(axis=0), obs[in_sel].sum(axis=0)
+    rows_sel = sizes[in_sel].sum()
 
     for _ in range(max_steps):
-        si = np.flatnonzero(in_sel)
-        ri = np.flatnonzero(~in_sel)
-        sp, so = pos[si].sum(axis=0), obs[si].sum(axis=0)
-        rp, ro = pos[ri].sum(axis=0), obs[ri].sum(axis=0)
-        rows_sel = sizes[si].sum()
-        base = _gap_objective(sp, so, rp, ro)
+        base = _gap_objective(sp, so, tot_p, tot_o)
         if base <= _GAP_GOOD_ENOUGH:
             break
+        si = np.flatnonzero(in_sel)
+        ri = np.flatnonzero(~in_sel)
 
         # first-best over moves out, moves in, then swaps (fixed tie order);
         # only meaningful improvements are worth another vectorised sweep
         best_obj = base - 1e-4
         flips = None
         if si.size > 1:  # moves sel -> rest, keeping sel non-empty
-            ok = np.abs(rows_sel - sizes[si] - cap_sel) <= window
-            t = si[ok]
+            t = si[np.abs(rows_sel - sizes[si] - cap_sel) <= window]
             if t.size:
-                objs = _gap_objective(sp - pos[t], so - obs[t], rp + pos[t], ro + obs[t])
+                objs = _gap_objective(sp - pos[t], so - obs[t], tot_p, tot_o)
                 j = int(np.argmin(objs))
                 if objs[j] < best_obj:
                     best_obj = objs[j]
                     flips = [(int(t[j]), False)]
         if ri.size > 1:  # moves rest -> sel, keeping rest non-empty
-            ok = np.abs(rows_sel + sizes[ri] - cap_sel) <= window
-            u = ri[ok]
+            u = ri[np.abs(rows_sel + sizes[ri] - cap_sel) <= window]
             if u.size:
-                objs = _gap_objective(sp + pos[u], so + obs[u], rp - pos[u], ro - obs[u])
+                objs = _gap_objective(sp + pos[u], so + obs[u], tot_p, tot_o)
                 j = int(np.argmin(objs))
                 if objs[j] < best_obj:
                     best_obj = objs[j]
                     flips = [(int(u[j]), True)]
         if flips is None and si.size and ri.size:
-            # pairwise swap scan is the expensive one; only when moves stall
+            # pairwise swap scan is the expensive one; only when moves stall.
+            # Only pairs that keep the window are scored, in row-major order,
+            # so argmin breaks ties towards the first (sel, rest) pair.
             delta = rows_sel - sizes[si][:, None] + sizes[ri][None, :]
-            ok = np.abs(delta - cap_sel) <= window
-            if ok.any():
-                sp2 = sp - pos[si][:, None, :] + pos[ri][None, :, :]
-                so2 = so - obs[si][:, None, :] + obs[ri][None, :, :]
-                rp2 = rp + pos[si][:, None, :] - pos[ri][None, :, :]
-                ro2 = ro + obs[si][:, None, :] - obs[ri][None, :, :]
-                objs = np.where(ok, _gap_objective(sp2, so2, rp2, ro2), np.inf)
-                a, b = np.unravel_index(int(np.argmin(objs)), objs.shape)
-                if objs[a, b] < best_obj:
-                    best_obj = objs[a, b]
-                    flips = [(int(si[a]), False), (int(ri[b]), True)]
+            a, b = np.nonzero(np.abs(delta - cap_sel) <= window)
+            if a.size:
+                t, u = si[a], ri[b]
+                objs = _gap_objective(
+                    sp - pos[t] + pos[u], so - obs[t] + obs[u], tot_p, tot_o
+                )
+                j = int(np.argmin(objs))
+                if objs[j] < best_obj:
+                    flips = [(int(t[j]), False), (int(u[j]), True)]
         if flips is None:
             break
         for idx, flag in flips:
             in_sel[idx] = flag
+            sign = 1.0 if flag else -1.0
+            sp = sp + sign * pos[idx]
+            so = so + sign * obs[idx]
+            rows_sel += sign * sizes[idx]
 
     new_sel = [labels[i] for i in np.flatnonzero(in_sel)]
     new_rest = [labels[i] for i in np.flatnonzero(~in_sel)]
@@ -394,8 +407,8 @@ def _partition_blocks(
     labels: list[str],
     block_rows: dict[str, np.ndarray],
     target_fraction: float,
-    y_bin: np.ndarray,
-    mask: np.ndarray,
+    pos_of: dict[str, np.ndarray],
+    obs_of: dict[str, np.ndarray],
     rng: np.random.Generator,
 ) -> tuple[list[str], list[str]]:
     """Greedy largest-first assignment of whole blocks to two partitions.
@@ -404,28 +417,23 @@ def _partition_blocks(
     sides can still take a block without overshooting their capacity by more
     than half the block, the side that keeps per-response positive rates
     closest wins; ties go to the side lagging furthest behind its target.
-    Overshoot is therefore bounded by half the largest block.
+    Overshoot is therefore bounded by half the largest block. pos_of/obs_of
+    hold each block's per-response positive and observed cell counts.
     """
     sizes = {lab: len(block_rows[lab]) for lab in labels}
     order = sorted(rng.permutation(np.array(labels, dtype=object)), key=lambda l: -sizes[l])
     total = sum(sizes.values())
     caps = {"sel": target_fraction * total, "rest": (1.0 - target_fraction) * total}
 
-    k = y_bin.shape[1]
+    k = len(pos_of[labels[0]])
     pos = {"sel": np.zeros(k), "rest": np.zeros(k)}
     obs = {"sel": np.zeros(k), "rest": np.zeros(k)}
     rows_in = {"sel": 0.0, "rest": 0.0}
     out = {"sel": [], "rest": []}
-    pos_of: dict[str, np.ndarray] = {}
-    obs_of: dict[str, np.ndarray] = {}
 
     for lab in order:
-        rows = block_rows[lab]
         s = sizes[lab]
-        b_obs = mask[rows].sum(axis=0)
-        b_pos = np.where(mask[rows] == 1.0, y_bin[rows], 0.0).sum(axis=0)
-        pos_of[lab] = b_pos
-        obs_of[lab] = b_obs
+        b_pos, b_obs = pos_of[lab], obs_of[lab]
 
         def divergence_if(side: str) -> float:
             if side == "sel":
@@ -499,14 +507,19 @@ def split_blocks(
     if len(labels) < 3:
         raise ValueError(f"need at least 3 distinct blocks, got {len(labels)}")
 
+    pos_of, obs_of = {}, {}
+    for lab, rows in block_rows.items():
+        obs_of[lab] = mask[rows].sum(axis=0)
+        pos_of[lab] = np.where(mask[rows] == 1.0, y_bin[rows], 0.0).sum(axis=0)
+
     rng = np.random.default_rng(seed)
     test_labels, train_labels = _partition_blocks(
-        labels, block_rows, test_fraction, y_bin, mask, rng
+        labels, block_rows, test_fraction, pos_of, obs_of, rng
     )
     if not train_labels:
         raise ValueError("all blocks assigned to test; too few blocks")
     val_labels, fit_labels = _partition_blocks(
-        train_labels, block_rows, val_fraction_of_train, y_bin, mask, rng
+        train_labels, block_rows, val_fraction_of_train, pos_of, obs_of, rng
     )
     if val_fraction_of_train > 0.0 and (not fit_labels or not val_labels):
         raise ValueError("too few blocks to keep train, validation, and test non-empty")

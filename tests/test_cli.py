@@ -1,5 +1,6 @@
 import base64
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -284,6 +285,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "ae.holdout_fraction" in err
         assert not out.exists() or not list(out.glob("ckpt_*"))
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda d: (d / "mask.csv").unlink(), "mask.csv"),
+        (lambda d: (d / "features.csv").write_text(""), "dataset"),
+    ], ids=["missing-mask", "empty-features"])
+    def test_unreadable_dataset_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                              damage, named):
+        ds_dir = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", ds_dir)
+        damage(ds_dir)
+        out = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--model", "baseline", "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and named in err
+        assert not out.exists()
+
+    def test_truncated_eval_artifact_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        for p in pipeline_dir.glob("eval_*.json"):
+            shutil.copy(p, tmp_path / p.name)
+        text = (tmp_path / "eval_baseline.json").read_text()
+        (tmp_path / "eval_baseline.json").write_text(text[: len(text) // 2])
+        assert main(["report", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "eval_baseline.json" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "preprocess"])
+    def test_unwritable_output_is_data_error(self, pipeline_dir, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        out = blocker / "out"
+        if command == "generate":
+            argv = ["generate", "--config", write_json(tmp_path / "synth.json", SMALL_SYNTH),
+                    "--out", str(out)]
+        else:
+            argv = ["preprocess", "--in", str(pipeline_dir / "raw"), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and str(out) in err
 
     def test_invalid_synth_profile_is_config_error(self, tmp_path):
         cfg = write_json(

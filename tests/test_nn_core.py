@@ -81,6 +81,27 @@ class TestForward:
             forward(params, np.zeros((2, 7)))
 
 
+def masked_sigmoid(z):
+    """The earlier two-branch sigmoid built by boolean gathers and scatters."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_bit_identical_to_masked_version_on_normal_draws(self, scale):
+        z = scale * np.random.default_rng(int(scale * 10)).standard_normal((63, 24))
+        assert nn_core._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+    def test_bit_identical_at_edges(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 746.0, -746.0])
+        assert nn_core._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
 class TestBackward:
     def loss_of(self, params, x, targets):
         out, _ = forward(params, x)
