@@ -27,6 +27,7 @@ from .data_model import (
     load_raw_table,
     save_dataset,
     save_raw_table,
+    validate,
 )
 from .metrics import METRIC_NAMES, EvalReport, evaluate_predictions, winner_ranking
 from .preprocess import check_split_fractions, preprocess_raw
@@ -134,8 +135,15 @@ def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
     return raw
 
 
+# what reading a malformed or missing input file raises
+_UNREADABLE = (KeyError, OSError, StopIteration, TypeError, ValueError)
+
+
 def _preprocess_and_save(raw_dir, out, test_fraction: float, val_fraction: float, seed: int):
-    raw = load_raw_table(raw_dir)
+    try:
+        raw = load_raw_table(raw_dir)
+    except _UNREADABLE as exc:
+        raise DataError(f"unreadable raw table {raw_dir}: {exc}") from exc
     try:
         ds, split, report = preprocess_raw(
             raw, test_fraction=test_fraction, val_fraction_of_train=val_fraction, seed=seed,
@@ -154,8 +162,11 @@ def _load_dataset_and_split(dataset_dir, split_path):
     split_file = _require_file(split_path, "split file", "run `masktab preprocess` first")
     try:
         ds, split = load_dataset(ds_dir), SplitAssignment.load(split_file)
-    except (KeyError, OSError, StopIteration, TypeError, ValueError) as exc:
+    except _UNREADABLE as exc:
         raise DataError(f"unreadable dataset {ds_dir} or split {split_file}: {exc}") from exc
+    bad = validate(ds)
+    if bad:
+        raise DataError(f"invalid dataset {ds_dir}: {'; '.join(bad)}")
     bad = split.violations(ds.blocks)
     if bad:
         raise DataError(f"invalid split for dataset: {'; '.join(bad)}")
@@ -381,14 +392,17 @@ class _Manifest:
         if self.path.exists():
             try:
                 existing = jsonio.load(self.path)
-                if (
-                    existing.get("global_seed") == global_seed
-                    and existing.get("stage_seeds") == stage_seeds
-                    and existing.get("package_version") == __version__
-                ):
-                    self.doc = existing
-            except Exception:
-                pass  # stale manifest; rebuild from scratch
+            except ValueError:  # not JSON, or not UTF-8
+                existing = None
+            if not isinstance(existing, dict):
+                print(f"masktab: manifest {self.path} is unreadable; every stage reruns",
+                      file=sys.stderr)
+            elif (
+                existing.get("global_seed") == global_seed
+                and existing.get("stage_seeds") == stage_seeds
+                and existing.get("package_version") == __version__
+            ):
+                self.doc = existing
 
     def stage_is_current(self, name: str, config_fp: str) -> bool:
         rec = self.doc["stages"].get(name)

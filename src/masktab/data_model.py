@@ -303,17 +303,24 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows; a row whose cell count differs from the header's is
+    rejected with its file and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
-        return header, [row for row in r]
+        rows = []
+        for row in r:
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {r.line_num}: {len(row)} cells, "
+                                 f"the header has {len(header)}")
+            rows.append(row)
+        return header, rows
 
 
 def _float_matrix(rows: list[list[str]]) -> np.ndarray:
     out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=np.float64)
     for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            out[i, j] = math.nan if cell == "" else float(cell)
+        out[i] = [math.nan if c == "" else float(c) for c in row]
     return out
 
 

@@ -43,9 +43,10 @@ def _mse_terms(batch: MaskedBatch):
     """The masked MSE of each prediction in the batch, plus the masked
     residuals and per-sample normalisers its gradient needs."""
     observed = batch.m != 0.0
-    diff = np.where(observed, batch.y_hat - np.where(observed, batch.y, 0.0), 0.0)
+    diff = batch.y_hat - np.where(observed, batch.y, 0.0)
+    np.copyto(diff, 0.0, where=~observed)
     denom = batch.m.sum(axis=1) + batch.epsilon
-    per_sample = (diff * diff).sum(axis=-1) / denom
+    per_sample = np.square(diff).sum(axis=-1) / denom
     return per_sample.sum(axis=-1) / batch.y.shape[0], diff, denom
 
 
@@ -61,7 +62,9 @@ def _bce_terms(batch: MaskedBatch):
         raise ValueError(f"observed binary target not in {{0,1}} at ({i},{k}): {batch.y[i, k]!r}")
     eps = batch.epsilon
     p = np.clip(batch.y_hat, eps, 1.0 - eps)
-    ll = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    # one log per cell: y is 0 or 1, and both logs are finite and negative
+    # inside the clip, so this equals y*log(p) + (1-y)*log(1-p) bit for bit
+    ll = np.log(np.where(y == 1.0, p, 1.0 - p))
     denom = batch.m.sum(axis=1) + eps
     per_sample = -(np.where(observed, ll, 0.0)).sum(axis=-1) / denom
     return per_sample.sum(axis=-1) / batch.y.shape[0], y, p, denom

@@ -168,14 +168,21 @@ def init_network(
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|z|."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """A layer's activation function applied to its pre-activation z."""
+def activate(z: np.ndarray, kind: str, overwrite: bool = False) -> np.ndarray:
+    """A layer's activation function applied to its pre-activation z.
+
+    With ``overwrite`` the caller gives up z: ReLU then runs in place, and
+    the result may be z itself.
+    """
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z if overwrite else None)
     if kind == "sigmoid":
         return _sigmoid(z)
     return z
@@ -211,23 +218,24 @@ def _run_stack(
     rng: np.random.Generator | None,
     caches: list[_LayerCache] | None,
 ) -> np.ndarray:
+    """Run one stack. Each layer's z is a fresh array, so x is never written;
+    without ``caches`` (infer mode) z is scratch and ReLU overwrites it."""
     for layer in layers:
         if x.shape[1] != layer.spec.in_dim:
             raise ValueError(
                 f"shape mismatch: input has {x.shape[1]} columns, layer expects {layer.spec.in_dim}"
             )
-        # divergence surfaces as the non-finite check in forward, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = x @ layer.W.T + layer.b
-            a = activate(z, layer.spec.activation)
-            drop = None
-            out = a
-            if mode == "train" and layer.spec.dropout_rate > 0.0:
-                if rng is None:
-                    raise ValueError("train-mode forward with dropout requires an rng")
-                keep = 1.0 - layer.spec.dropout_rate
-                drop = (rng.random(a.shape) < keep).astype(np.float64) / keep
-                out = a * drop
+        z = x @ layer.W.T
+        z += layer.b
+        a = activate(z, layer.spec.activation, overwrite=caches is None)
+        drop = None
+        out = a
+        if mode == "train" and layer.spec.dropout_rate > 0.0:
+            if rng is None:
+                raise ValueError("train-mode forward with dropout requires an rng")
+            keep = 1.0 - layer.spec.dropout_rate
+            drop = (rng.random(a.shape) < keep).astype(np.float64) / keep
+            out = a * drop
         if caches is not None:
             caches.append(_LayerCache(x=x, z=z, a=a, drop=drop))
         x = out
@@ -253,13 +261,15 @@ def forward(
         raise ValueError(f"expected a batch matrix, got ndim={X.ndim}")
     cache = ForwardCache(mode=mode)
     train = mode == "train"
-    trunk = _run_stack(params.backbone, X, mode, rng, cache.backbone if train else None)
     outputs: dict[str, np.ndarray] = {}
-    for head in sorted(params.heads):
-        head_caches: list[_LayerCache] | None = [] if train else None
-        outputs[head] = _run_stack(params.heads[head], trunk, mode, rng, head_caches)
-        if train:
-            cache.heads[head] = head_caches
+    # divergence surfaces as the non-finite check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        trunk = _run_stack(params.backbone, X, mode, rng, cache.backbone if train else None)
+        for head in sorted(params.heads):
+            head_caches: list[_LayerCache] | None = [] if train else None
+            outputs[head] = _run_stack(params.heads[head], trunk, mode, rng, head_caches)
+            if train:
+                cache.heads[head] = head_caches
     for head, out in outputs.items():
         if not np.isfinite(out).all():
             raise FloatingPointError(f"non-finite activations in head {head!r}")

@@ -11,9 +11,10 @@ into a single feature history.
 Each repeat does only the work its permutation changes. A task reads one
 head, so only the task's layer chain (backbone plus that head) runs. The
 first layer's pre-activation on the unpermuted rows is computed once per
-group; a permutation of the group's columns changes it by a rank-|group|
-update, and the rest of the chain runs from there. The repeats' losses are
-scored together as one stack.
+task and shared by every group; a permutation of the group's columns changes
+it by a rank-|group| update, written into a fresh array that the activation
+then overwrites, and the rest of the chain runs from there in one forward.
+The repeats' losses are scored together as one stack.
 """
 
 import hashlib
@@ -129,6 +130,84 @@ def _child_seed(seed: int, task: str, group: str) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
+@dataclass(frozen=True)
+class _TaskRows:
+    """What every group's repeats share within one task: the task's chain,
+    its rows, the first layer's pre-activation on them and the baseline."""
+
+    task: str
+    ds: TabularDataset
+    rows: np.ndarray
+    X: np.ndarray  # ds.X[rows]
+    first: DenseLayer
+    rest: NetworkParams  # the rest of the chain, with the task's head only
+    Z0: np.ndarray  # X @ first.W.T + first.b
+    width: int  # responses the head predicts
+    baseline_loss: float
+
+
+def _task_rows(params: NetworkParams, ds: TabularDataset, rows, task: str,
+               baseline_loss: float | None = None) -> _TaskRows:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("empty row set")
+    X = ds.X[rows]
+    if baseline_loss is None:
+        baseline_loss = _task_loss(params, X, ds, rows, task)
+    first, rest = _task_chain(params, task)
+    # divergence surfaces as forward's non-finite check, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z0 = X @ first.W.T + first.b
+    width = params.heads[_task_head(task)[0]][-1].spec.out_dim
+    return _TaskRows(task, ds, rows, X, first, rest, Z0, width, float(baseline_loss))
+
+
+def _group_entry(t: _TaskRows, group: str, columns: list[int], n_repeats: int,
+                 seed: int) -> ImportanceEntry:
+    """One group's entry: every repeat permutes the group's rows, updates the
+    first layer's pre-activation by the change, and runs the rest once."""
+    if n_repeats < 1:
+        raise ValueError("n_repeats must be >= 1")
+    if not columns:
+        raise ValueError(f"unknown or empty group {group!r}")
+    entry_seed = _child_seed(seed, t.task, group)
+    rng = np.random.default_rng(np.random.PCG64(entry_seed))
+    (head,) = t.rest.heads
+    n = t.rows.size
+    Xc = t.X[:, columns]
+    W1c = t.first.W[:, columns].T
+    kind = t.first.spec.activation
+    outs = np.empty((n_repeats, n, t.width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(n_repeats):
+            perm = rng.permutation(n)
+            # np.dot, not @: matmul takes a slow path when the group has one column
+            Z = np.dot(Xc[perm] - Xc, W1c)
+            Z += t.Z0
+            out, _ = forward(t.rest, activate(Z, kind, overwrite=True), mode="infer")
+            outs[r] = out[head]
+    losses = _task_losses(outs, t.ds, t.rows, t.task)
+    if losses.min() == losses.max():  # keep exact equality when repeats agree
+        mean, sd = float(losses[0]), 0.0
+    else:
+        mean, sd = float(losses.mean()), float(losses.std())
+    baseline_loss = t.baseline_loss
+    if baseline_loss != 0.0:
+        importance = 100.0 * (mean - baseline_loss) / baseline_loss
+    else:
+        importance = 0.0 if mean == 0.0 else float("inf")
+    return ImportanceEntry(
+        group=group,
+        task=t.task,
+        baseline_loss=baseline_loss,
+        permuted_loss_mean=mean,
+        permuted_loss_sd=sd,
+        importance_pct=importance,
+        n_repeats=n_repeats,
+        seed=entry_seed,
+    )
+
+
 def permutation_importance(
     params: NetworkParams,
     ds: TabularDataset,
@@ -146,51 +225,8 @@ def permutation_importance(
     repeat. The entry's seed is derived from (seed, task, group), so a full
     report is reproducible whatever order its entries are computed in.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("empty row set")
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be >= 1")
-    if not columns:
-        raise ValueError(f"unknown or empty group {group!r}")
-    X = ds.X[rows]
-    if baseline_loss is None:
-        baseline_loss = _task_loss(params, X, ds, rows, task)
-    entry_seed = _child_seed(seed, task, group)
-    rng = np.random.default_rng(np.random.PCG64(entry_seed))
-    first, rest = _task_chain(params, task)
-    (head,) = rest.heads
-    Xc = X[:, columns]
-    W1c = first.W[:, columns].T
-    outs = np.empty((n_repeats, rows.size, params.heads[head][-1].spec.out_dim))
-    # divergence surfaces as forward's non-finite check, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z0 = X @ first.W.T + first.b
-        for r in range(n_repeats):
-            perm = rng.permutation(rows.size)
-            # np.dot, not @: matmul takes a slow path when the group has one column
-            Z = Z0 + np.dot(Xc[perm] - Xc, W1c)
-            out, _ = forward(rest, activate(Z, first.spec.activation), mode="infer")
-            outs[r] = out[head]
-    losses = _task_losses(outs, ds, rows, task)
-    if losses.min() == losses.max():  # keep exact equality when repeats agree
-        mean, sd = float(losses[0]), 0.0
-    else:
-        mean, sd = float(losses.mean()), float(losses.std())
-    if baseline_loss != 0.0:
-        importance = 100.0 * (mean - baseline_loss) / baseline_loss
-    else:
-        importance = 0.0 if mean == 0.0 else float("inf")
-    return ImportanceEntry(
-        group=group,
-        task=task,
-        baseline_loss=float(baseline_loss),
-        permuted_loss_mean=mean,
-        permuted_loss_sd=sd,
-        importance_pct=importance,
-        n_repeats=n_repeats,
-        seed=entry_seed,
-    )
+    t = _task_rows(params, ds, rows, task, baseline_loss)
+    return _group_entry(t, group, columns, n_repeats, seed)
 
 
 def importance_report(
@@ -211,18 +247,10 @@ def importance_report(
             groups = per_column_groups(ds.schema)
         else:
             raise ValueError(f"unknown mode {mode!r}; expected one of {IMPORTANCE_MODES}")
-    rows = np.asarray(rows, dtype=np.int64)
-    X = ds.X[rows]
     entries: list[ImportanceEntry] = []
     for task in TASKS:
-        baseline = _task_loss(params, X, ds, rows, task)
-        for group in sorted(groups):
-            entries.append(
-                permutation_importance(
-                    params, ds, rows, group, groups[group], task,
-                    n_repeats=n_repeats, seed=seed, baseline_loss=baseline,
-                )
-            )
+        t = _task_rows(params, ds, rows, task)
+        entries.extend(_group_entry(t, g, groups[g], n_repeats, seed) for g in sorted(groups))
     return ImportanceReport(
         entries=entries, groups=groups, mode=mode, n_repeats=n_repeats, seed=seed,
         rows_label=rows_label,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from masktab.data_model import FeatureSchema, SchemaEntry, TabularDataset
+from masktab.preprocess import split_blocks, transform_responses
+from masktab.synthgen import SynthConfig, generate
 
 
 def make_schema(n_continuous=3, one_hot_groups=()):
@@ -51,3 +53,15 @@ def make_dataset(n=12, n_continuous=3, one_hot_groups=(("cat", 3),), n_responses
 @pytest.fixture
 def small_dataset():
     return make_dataset()
+
+
+@pytest.fixture(scope="session")
+def survey0_splits():
+    """The default survey's (synthesis seed 0) block labels and its
+    split_blocks draws at the default fractions for seeds 0-999. The
+    split-integrity criterion checks every draw and the split digests pin the
+    first 200, so the draws are made once per session."""
+    raw = generate(SynthConfig(seed=0))
+    _, y_bin, mask = transform_responses(raw.responses, raw.loq)
+    blocks = raw.block_labels()
+    return blocks, [split_blocks(blocks, y_bin, mask, seed=s) for s in range(1000)]

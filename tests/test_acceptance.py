@@ -21,7 +21,6 @@ from masktab.preprocess import (
     encode_day_of_year,
     preprocess_raw,
     relative_humidity,
-    split_blocks,
 )
 from masktab.synthgen import SynthConfig, generate, importance_group_of, oracle_importance
 from masktab.trainer import (
@@ -416,19 +415,14 @@ def test_c08_importance_recovery(check, default_runs):
 # Criterion 9: split integrity
 # ---------------------------------------------------------------------------
 
-def test_c09_split_integrity(check):
-    cfg = SynthConfig(seed=0)
-    raw = generate(cfg)
-    from masktab.preprocess import transform_responses
-
-    _, y_bin, mask = transform_responses(raw.responses, raw.loq)
-    blocks = raw.block_labels()
+def test_c09_split_integrity(check, survey0_splits):
+    # split_blocks on the default survey, test fraction 0.20, seeds 0-999
+    blocks, splits = survey0_splits
     n = len(blocks)
     max_block = max(int((blocks == lab).sum()) for lab in set(blocks))
     leaks = 0
     worst_frac = 0.0
-    for seed in range(1000):
-        split = split_blocks(blocks, y_bin, mask, test_fraction=0.20, seed=seed)
+    for split in splits:
         if split.violations(blocks):
             leaks += 1
         worst_frac = max(worst_frac, abs(len(split.test_rows) / n - 0.20))

@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 import shutil
 
@@ -304,6 +305,37 @@ class TestExitCodes:
         assert "data error" in err and named in err
         assert not out.exists()
 
+    def test_short_raw_row_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        lines = (raw_dir / "raw.csv").read_text().splitlines(keepends=True)
+        lines[3] = ",".join(next(csv.reader([lines[3]]))[:10]) + "\n"
+        (raw_dir / "raw.csv").write_text("".join(lines))
+        out = tmp_path / "dataset"
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "raw.csv line 4: 10 cells" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "importance"])
+    def test_empty_predictor_cell_is_data_error(self, pipeline_dir, tmp_path, capsys, command):
+        ds_dir = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", ds_dir)
+        with open(ds_dir / "features.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][1] = ""
+        with open(ds_dir / "features.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out.json"
+        argv = [command, "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+                "--out", str(out)]
+        argv += (["--model", "baseline"] if command == "train"
+                 else ["--ckpt", str(pipeline_dir / "ckpt_baseline.json")])
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "non-finite predictor at (1,1)" in err
+        assert not out.exists()
+
     def test_truncated_eval_artifact_is_data_error(self, pipeline_dir, tmp_path, capsys):
         for p in pipeline_dir.glob("eval_*.json"):
             shutil.copy(p, tmp_path / p.name)
@@ -406,6 +438,20 @@ class TestPipeline:
         run_pipeline(SMALL_PIPELINE, fresh)
         assert (fresh / "manifest.json").read_bytes() == manifest_before
         assert (fresh / "report.json").read_bytes() == report_before
+
+    @pytest.mark.parametrize("garbage", [b"\xff{not json", b"[1, 2]"],
+                             ids=["not-json", "not-an-object"])
+    def test_unreadable_manifest_reruns_every_stage(self, pipeline_dir, tmp_path, capsys,
+                                                    garbage):
+        out = tmp_path / "art"
+        shutil.copytree(pipeline_dir, out)
+        (out / "manifest.json").write_bytes(garbage)
+        cfg = write_json(tmp_path / "p.json", SMALL_PIPELINE)
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable; every stage reruns" in err
+        assert (out / "manifest.json").read_bytes() == (
+            pipeline_dir / "manifest.json").read_bytes()
 
     def test_changed_config_reruns_stage(self, pipeline_dir, tmp_path):
         out = tmp_path / "art2"

@@ -6,6 +6,8 @@ import pytest
 from masktab.masked_loss import (
     EPSILON,
     MaskedBatch,
+    _bce_terms,
+    _mse_terms,
     combined_loss,
     masked_bce,
     masked_loss,
@@ -229,3 +231,69 @@ class TestStackedLoss:
             MaskedBatch(y=y, y_hat=y_hat[:, :-1], m=m)
         with pytest.raises(ValueError, match="unknown loss kind"):
             masked_loss("mae", MaskedBatch(y=y, y_hat=y_hat, m=m))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the loss terms as first written, two logs per BCE cell and masked
+# residuals built by np.where. The kernels must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+def oracle_mse_terms(batch):
+    observed = batch.m != 0.0
+    diff = np.where(observed, batch.y_hat - np.where(observed, batch.y, 0.0), 0.0)
+    denom = batch.m.sum(axis=1) + batch.epsilon
+    per_sample = (diff * diff).sum(axis=-1) / denom
+    return per_sample.sum(axis=-1) / batch.y.shape[0], diff, denom
+
+
+def oracle_bce_terms(batch):
+    observed = batch.m != 0.0
+    y = np.where(observed, batch.y, 0.0)
+    eps = batch.epsilon
+    p = np.clip(batch.y_hat, eps, 1.0 - eps)
+    ll = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    denom = batch.m.sum(axis=1) + eps
+    per_sample = -(np.where(observed, ll, 0.0)).sum(axis=-1) / denom
+    return per_sample.sum(axis=-1) / batch.y.shape[0], y, p, denom
+
+
+# clip boundaries and values beyond them, for the BCE predictions
+CLIP_EDGES = (0.0, 1.0, EPSILON, 1.0 - EPSILON, 1e-9, 1.0 - 1e-9)
+
+
+class TestLossTermsMatchOracle:
+    @staticmethod
+    def batch(kind, stack, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 63, 24
+        m = (rng.random((n, k)) > 0.4).astype(float)
+        m[:3] = 0.0  # fully masked rows
+        shape = (n, k) if stack is None else (stack, n, k)
+        if kind == "mse":
+            y = np.abs(rng.standard_normal((n, k)))
+            y_hat = 2.0 * rng.standard_normal(shape)
+        else:
+            y = (rng.random((n, k)) > 0.5).astype(float)
+            y_hat = rng.random(shape)
+            # every clip edge, against both targets, in every prediction
+            edges = np.resize(np.array(CLIP_EDGES), (2 * len(CLIP_EDGES),))
+            y_hat[..., 3:3 + edges.size, 0] = edges
+            y[3:3 + edges.size, 0] = np.repeat([0.0, 1.0], len(CLIP_EDGES))
+            m[3:3 + edges.size, 0] = 1.0
+        y[m == 0] = np.nan
+        return MaskedBatch(y=y, y_hat=y_hat, m=m)
+
+    @pytest.mark.parametrize("stack", [None, 1, 30], ids=["single", "stack-1", "stack-30"])
+    @pytest.mark.parametrize("kind, terms, oracle", [
+        ("mse", _mse_terms, oracle_mse_terms),
+        ("bce", _bce_terms, oracle_bce_terms),
+    ])
+    def test_bit_identical(self, kind, terms, oracle, stack):
+        for seed in range(3):
+            batch = self.batch(kind, stack, seed)
+            y_hat = batch.y_hat.copy()
+            got, want = terms(batch), oracle(batch)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert batch.y_hat.tobytes() == y_hat.tobytes()  # the input is not written

@@ -102,6 +102,74 @@ class TestSigmoid:
         assert nn_core._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the infer path as first written, one z = x @ W.T + b and one new
+# activation array per layer. Infer-mode forward must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def oracle_activate(z, kind):
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "sigmoid":
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return z
+
+
+def oracle_infer(params, X):
+    def run(layers, x):
+        for layer in layers:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = oracle_activate(x @ layer.W.T + layer.b, layer.spec.activation)
+        return x
+
+    trunk = run(params.backbone, X)
+    return {head: run(params.heads[head], trunk) for head in sorted(params.heads)}
+
+
+def mixed_network(backbone_kinds, seed):
+    """Backbone layers of the given activations, and two two-layer heads that
+    use all three activations."""
+    rng = np.random.default_rng(seed)
+    dims = [11] + [9 - i for i in range(len(backbone_kinds))]
+    backbone = [LayerSpec(dims[i], dims[i + 1], kind) for i, kind in enumerate(backbone_kinds)]
+    heads = {
+        "cont": [LayerSpec(dims[-1], 6, "sigmoid"), LayerSpec(6, 4, "linear")],
+        "bin": [LayerSpec(dims[-1], 5, "relu"), LayerSpec(5, 4, "sigmoid")],
+    }
+    params = init_network(backbone, heads, rng)
+    for _, layer in params.named_layers():  # non-zero biases, so b is tested too
+        layer.b[...] = rng.standard_normal(layer.b.shape)
+    return params
+
+
+class TestInferForwardMatchesOracle:
+    @pytest.mark.parametrize("backbone_kinds", [
+        (), ("relu",), ("relu", "sigmoid", "linear"), ("linear", "relu"),
+    ], ids=["empty-backbone", "relu", "relu-sigmoid-linear", "linear-relu"])
+    @pytest.mark.parametrize("rows", [1, 7, 63])
+    def test_bit_identical_and_input_untouched(self, backbone_kinds, rows):
+        params = mixed_network(backbone_kinds, seed=rows)
+        X = 3.0 * np.random.default_rng(rows).standard_normal((rows, 11))
+        before = X.tobytes()
+        out, cache = forward(params, X, mode="infer")
+        want = oracle_infer(params, X)
+        assert X.tobytes() == before
+        assert sorted(out) == sorted(want) == ["bin", "cont"]
+        for head in want:
+            assert out[head].tobytes() == want[head].tobytes(), head
+        assert cache.backbone == [] and cache.heads == {}
+
+    def test_train_mode_without_dropout_matches_too(self):
+        params = mixed_network(("relu", "sigmoid"), seed=3)
+        X = np.random.default_rng(3).standard_normal((40, 11))
+        before = X.tobytes()
+        out, _ = forward(params, X, mode="train", rng=np.random.default_rng(0))
+        assert X.tobytes() == before
+        for head, want in oracle_infer(params, X).items():
+            assert out[head].tobytes() == want.tobytes(), head
+
+
 class TestBackward:
     def loss_of(self, params, x, targets):
         out, _ = forward(params, x)
