@@ -44,6 +44,7 @@ from .nn_core import (  # noqa: F401
     save_checkpoint,
 )
 from .preprocess import (  # noqa: F401
+    PreprocessConfig,
     PreprocessReport,
     block_split,
     encode_and_normalise,

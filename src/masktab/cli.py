@@ -13,10 +13,12 @@ The environment variable MASKTAB_SEED overrides any configured seed.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, jsonio, nn_core, trainer, vimp
@@ -29,8 +31,9 @@ from .data_model import (
     save_raw_table,
     validate,
 )
+from .jsonio import SettingError, setting
 from .metrics import METRIC_NAMES, EvalReport, evaluate_predictions, winner_ranking
-from .preprocess import check_split_fractions, preprocess_raw
+from .preprocess import PreprocessConfig, preprocess_raw
 from .synthgen import SynthConfig, generate
 from .trainer import MODEL_KINDS, TrainConfig, TrainHistory, train_model
 from .vimp import IMPORTANCE_MODES, importance_report
@@ -57,11 +60,10 @@ def derive_seed(global_seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def resolve_seed(configured) -> int:
-    """The configured seed as an integer, unless MASKTAB_SEED overrides it."""
-    seed = _parse_config(int, configured, "seed")
+def resolve_seed(configured: int) -> int:
+    """The configured seed, unless MASKTAB_SEED overrides it."""
     env = os.environ.get("MASKTAB_SEED")
-    return seed if env is None else _parse_config(int, env, "MASKTAB_SEED")
+    return configured if env is None else _settings("MASKTAB_SEED", int, env)
 
 
 def _load_json(path, what: str) -> dict:
@@ -74,16 +76,9 @@ def _load_json(path, what: str) -> dict:
         raise ConfigError(f"could not parse {what} {p}: {exc}") from exc
 
 
-def _require_dir(path, what: str, hint: str) -> Path:
+def _require(path, what: str, hint: str, exists=Path.is_file) -> Path:
     p = Path(path)
-    if not p.is_dir():
-        raise DataError(f"{what} not found: {p} ({hint})")
-    return p
-
-
-def _require_file(path, what: str, hint: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
+    if not exists(p):
         raise DataError(f"{what} not found: {p} ({hint})")
     return p
 
@@ -96,30 +91,48 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _parse_config(parse, value, what: str):
-    """parse(value), with a value it rejects reported as a config error."""
+def _settings(what: str | None, build, *args, **kwargs):
+    """build(*args, **kwargs), with a setting it rejects reported as a config error."""
     try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
-def _importance_settings(mode, repeats) -> tuple[str, int]:
-    if mode not in IMPORTANCE_MODES:
-        raise ConfigError(f"unknown importance mode {mode!r}; expected one of {IMPORTANCE_MODES}")
-    n_repeats = _parse_config(int, repeats, "importance repeats")
-    if n_repeats < 1:
-        raise ConfigError(f"importance repeats must be >= 1, got {n_repeats}")
-    return mode, n_repeats
+def _load_settings(cls, path, what: str):
+    """The ``cls`` document at ``path`` (or defaults), with any MASKTAB_SEED as its seed."""
+    doc = _settings(what, cls.from_dict, _load_json(path, what) if path else {})
+    return _settings(f"{what} with MASKTAB_SEED", dataclasses.replace, doc,
+                     seed=resolve_seed(doc.seed))
 
 
-def _split_fractions(test_fraction, val_fraction) -> tuple[float, float]:
-    try:
-        fractions = (float(test_fraction), float(val_fraction))
-        check_split_fractions(*fractions)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad split fractions: {exc}") from exc
-    return fractions
+@dataclass
+class ImportanceConfig(jsonio.Document):
+    """Permutation-importance settings: the pipeline's ``importance`` section."""
+
+    VERSION = None
+
+    mode: str = setting(IMPORTANCE_MODES, "grouped")
+    repeats: int = setting("[1, inf)", 30)
+
+
+@dataclass
+class PipelineConfig(jsonio.Document):
+    """Every setting of ``masktab pipeline``; stage seeds replace the synth and train seeds."""
+
+    VERSION = None
+
+    seed: int = setting("(-inf, inf)", 0)  # only ever hashed into the stage seeds
+    synth: SynthConfig = field(default_factory=SynthConfig)
+    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    models: tuple[str, ...] = setting(MODEL_KINDS, MODEL_KINDS)
+    importance: ImportanceConfig = field(default_factory=ImportanceConfig)
+    threshold: float = setting("[0, 1]", 0.5)
+
+    def check(self):
+        if not self.models:
+            raise SettingError("models", "must name at least one model")
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +140,7 @@ def _split_fractions(test_fraction, val_fraction) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
-    try:
-        raw = generate(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    raw = _settings(None, generate, cfg)  # e.g. a planted variable it does not generate
     save_raw_table(raw, out)
     return raw
 
@@ -139,14 +149,15 @@ def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
 _UNREADABLE = (KeyError, OSError, StopIteration, TypeError, ValueError)
 
 
-def _preprocess_and_save(raw_dir, out, test_fraction: float, val_fraction: float, seed: int):
+def _preprocess_and_save(raw_dir, out, pre: PreprocessConfig, seed: int):
     try:
         raw = load_raw_table(raw_dir)
     except _UNREADABLE as exc:
         raise DataError(f"unreadable raw table {raw_dir}: {exc}") from exc
     try:
         ds, split, report = preprocess_raw(
-            raw, test_fraction=test_fraction, val_fraction_of_train=val_fraction, seed=seed,
+            raw, test_fraction=pre.test_fraction, val_fraction_of_train=pre.val_fraction_of_train,
+            seed=seed,
         )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
@@ -158,8 +169,9 @@ def _preprocess_and_save(raw_dir, out, test_fraction: float, val_fraction: float
 
 
 def _load_dataset_and_split(dataset_dir, split_path):
-    ds_dir = _require_dir(dataset_dir, "dataset directory", "run `masktab preprocess` first")
-    split_file = _require_file(split_path, "split file", "run `masktab preprocess` first")
+    ds_dir = _require(dataset_dir, "dataset directory", "run `masktab preprocess` first",
+                      Path.is_dir)
+    split_file = _require(split_path, "split file", "run `masktab preprocess` first")
     try:
         ds, split = load_dataset(ds_dir), SplitAssignment.load(split_file)
     except _UNREADABLE as exc:
@@ -218,10 +230,10 @@ def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
     return report
 
 
-def _importance_and_save(ds, split, ckpt, mode: str, repeats: int, seed: int, out):
+def _importance_and_save(ds, split, ckpt, imp: ImportanceConfig, seed: int, out):
     params = _load_checkpoint(ckpt, ds)
     report = importance_report(
-        params, ds, split.test_rows, mode=mode, n_repeats=repeats, seed=seed,
+        params, ds, split.test_rows, mode=imp.mode, n_repeats=imp.repeats, seed=seed,
     )
     report.save(out)
     return report
@@ -232,19 +244,18 @@ def _importance_and_save(ds, split, ckpt, mode: str, repeats: int, seed: int, ou
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    cfg_dict = _load_json(args.config, "synthesis config") if args.config else {}
-    cfg = _parse_config(SynthConfig.from_dict, cfg_dict, "synthesis config")
-    cfg.seed = resolve_seed(cfg.seed)
+    cfg = _load_settings(SynthConfig, args.config, "synthesis config")
     raw = _generate_and_save(cfg, args.out)
     print(f"generate: wrote raw table ({raw.n_samples} samples) to {args.out}")
     return EXIT_OK
 
 
 def cmd_preprocess(args) -> int:
-    raw_dir = _require_dir(args.inp, "raw table directory", "run `masktab generate` first")
+    pre = _settings(None, PreprocessConfig, args.test_fraction, args.val_fraction)
     seed = resolve_seed(args.seed)
-    fractions = _split_fractions(args.test_fraction, args.val_fraction)
-    ds, split = _preprocess_and_save(raw_dir, args.out, *fractions, seed)
+    raw_dir = _require(args.inp, "raw table directory", "run `masktab generate` first",
+                       Path.is_dir)
+    ds, split = _preprocess_and_save(raw_dir, args.out, pre, seed)
     print(
         f"preprocess: {ds.n_samples} rows, {ds.n_features} encoded columns, "
         f"{len(split.test_rows)} test rows -> {args.out}"
@@ -253,10 +264,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _load_settings(TrainConfig, args.config, "train config")
     ds, split = _load_dataset_and_split(args.dataset, args.split)
-    cfg_dict = _load_json(args.config, "train config") if args.config else {}
-    cfg = _parse_config(TrainConfig.from_dict, cfg_dict, "train config")
-    cfg.seed = resolve_seed(cfg.seed)
     history = _train_and_save(ds, split, cfg, args.model, args.out)
     print(
         f"train[{args.model}]: stopped at epoch {history.stopped_epoch}, "
@@ -267,9 +276,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    threshold = _settings(None, PipelineConfig, threshold=args.threshold).threshold
     ds, split = _load_dataset_and_split(args.dataset, args.split)
-    ckpt = _require_file(args.ckpt, "checkpoint", "run `masktab train` first")
-    report = _evaluate_and_save(ds, split, ckpt, args.threshold, args.out)
+    ckpt = _require(args.ckpt, "checkpoint", "run `masktab train` first")
+    report = _evaluate_and_save(ds, split, ckpt, threshold, args.out)
     avg = report.averages()
     shown = ", ".join(
         f"{k}={avg[k]:.4f}" if avg[k] is not None else f"{k}=n/a" for k in METRIC_NAMES
@@ -279,15 +289,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    ds, split = _load_dataset_and_split(args.dataset, args.split)
-    ckpt = _require_file(args.ckpt, "checkpoint", "run `masktab train` first")
-    mode, repeats = _importance_settings(args.mode, args.repeats)
+    imp = _settings(None, ImportanceConfig, args.mode, args.repeats)
     seed = resolve_seed(args.seed)
-    report = _importance_and_save(ds, split, ckpt, mode, repeats, seed, args.out)
+    ds, split = _load_dataset_and_split(args.dataset, args.split)
+    ckpt = _require(args.ckpt, "checkpoint", "run `masktab train` first")
+    report = _importance_and_save(ds, split, ckpt, imp, seed, args.out)
     ranking = vimp.rank_importance(report)
     top = ranking["regression"][:3]
     shown = ", ".join(f"{e['group']} (+{e['importance_pct']:.1f}%)" for e in top)
-    print(f"importance[{mode}]: top regression groups: {shown} -> {args.out}")
+    print(f"importance[{imp.mode}]: top regression groups: {shown} -> {args.out}")
     return EXIT_OK
 
 
@@ -365,17 +375,6 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
-
-DEFAULT_PIPELINE = {
-    "seed": 0,
-    "synth": {},
-    "preprocess": {"test_fraction": 0.2, "val_fraction_of_train": 0.2},
-    "train": {},
-    "models": list(MODEL_KINDS),
-    "importance": {"mode": "grouped", "repeats": 30},
-    "threshold": 0.5,
-}
-
 
 class _Manifest:
     def __init__(self, root: Path, global_seed: int, stage_seeds: dict[str, int]):
@@ -457,55 +456,28 @@ def _run_stage(manifest: _Manifest, force: bool, name: str, config_fp: str,
 def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     """Run generate -> preprocess -> train -> evaluate -> importance -> report.
 
-    Every setting is parsed before the first stage runs. Completed stages with
-    unchanged config and intact outputs are skipped unless force is set.
-    Returns the artifact directory.
+    ``config`` holds PipelineConfig's keys; every setting is checked before
+    the first stage runs. Completed stages with unchanged config and intact
+    outputs are skipped unless force is set. Returns the artifact directory.
     """
-    cfg = {**DEFAULT_PIPELINE, **config}
-    unknown = set(cfg) - set(DEFAULT_PIPELINE)
-    if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-    for key in ("synth", "preprocess", "train", "importance"):
-        if not isinstance(cfg[key], dict):
-            raise ConfigError(f"pipeline config {key!r} must be an object, got {cfg[key]!r}")
-    for key in ("preprocess", "importance"):
-        unknown = set(cfg[key]) - set(DEFAULT_PIPELINE[key])
-        if unknown:
-            raise ConfigError(f"unknown pipeline config {key!r} keys: {sorted(unknown)}")
-    if not isinstance(cfg["models"], list):
-        raise ConfigError(f"pipeline config 'models' must be a list, got {cfg['models']!r}")
-    models = cfg["models"]
-    for m in models:
-        if m not in MODEL_KINDS:
-            raise ConfigError(f"unknown model {m!r} in pipeline config")
-    if not models:
-        raise ConfigError("pipeline config lists no models")
-
-    global_seed = resolve_seed(cfg["seed"])
+    cfg = _settings("pipeline config", PipelineConfig.from_dict, config)
+    global_seed = resolve_seed(cfg.seed)
     stage_seeds = {
         "generate": derive_seed(global_seed, "generate"),
         "preprocess": derive_seed(global_seed, "preprocess"),
-        **{f"train:{m}": derive_seed(global_seed, f"train:{m}") for m in models},
+        **{f"train:{m}": derive_seed(global_seed, f"train:{m}") for m in cfg.models},
         "importance": derive_seed(global_seed, "importance"),
     }
-    synth_cfg = _parse_config(SynthConfig.from_dict, cfg["synth"], "synthesis config")
-    synth_cfg.seed = stage_seeds["generate"]
-    pre_cfg = {**DEFAULT_PIPELINE["preprocess"], **cfg["preprocess"]}
-    fractions = _split_fractions(pre_cfg["test_fraction"], pre_cfg["val_fraction_of_train"])
-    train_cfgs = {}
-    for m in models:
-        train_cfgs[m] = _parse_config(TrainConfig.from_dict, cfg["train"], "train config")
-        train_cfgs[m].seed = stage_seeds[f"train:{m}"]
-    imp_cfg = {**DEFAULT_PIPELINE["importance"], **cfg["importance"]}
-    imp_mode, imp_repeats = _importance_settings(imp_cfg["mode"], imp_cfg["repeats"])
-    threshold = _parse_config(float, cfg["threshold"], "threshold")
+    synth_cfg = dataclasses.replace(cfg.synth, seed=stage_seeds["generate"])
+    train_cfgs = {m: dataclasses.replace(cfg.train, seed=stage_seeds[f"train:{m}"])
+                  for m in cfg.models}
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(root, global_seed, stage_seeds)
     raw_dir = root / "raw"
     ds_dir = root / "dataset"
-    ckpts = {m: root / f"ckpt_{m}.json" for m in models}
+    ckpts = {m: root / f"ckpt_{m}.json" for m in cfg.models}
 
     # the stages that run share one parse of the dataset
     load = functools.cache(lambda: _load_dataset_and_split(ds_dir, ds_dir / "split.json"))
@@ -517,7 +489,9 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
         lambda: _generate_and_save(synth_cfg, raw_dir),
     )
 
-    pre_fp = _fingerprint({"pre": pre_cfg, "seed": stage_seeds["preprocess"], "raw": gen_fp})
+    pre_fp = _fingerprint(
+        {"pre": cfg.preprocess.to_dict(), "seed": stage_seeds["preprocess"], "raw": gen_fp}
+    )
     _run_stage(
         manifest, force, "preprocess", pre_fp,
         [
@@ -527,37 +501,37 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
                 "blocks.csv", "schema.json", "split.json", "preprocess_report.json",
             )
         ],
-        lambda: _preprocess_and_save(raw_dir, ds_dir, *fractions, stage_seeds["preprocess"]),
+        lambda: _preprocess_and_save(raw_dir, ds_dir, cfg.preprocess, stage_seeds["preprocess"]),
     )
 
     # all requested models train under one stage
     def train_all():
         ds, split = load()
-        for m in models:
+        for m in cfg.models:
             _train_and_save(ds, split, train_cfgs[m], m, ckpts[m])
 
     train_fp = _fingerprint({
         m: _fingerprint({"train": train_cfgs[m].to_dict(), "dataset": pre_fp, "model": m})
-        for m in models
+        for m in cfg.models
     })
     _run_stage(
         manifest, force, "train", train_fp,
-        [p for m in models for p in (ckpts[m], _history_path(ckpts[m]))],
+        [p for m in cfg.models for p in (ckpts[m], _history_path(ckpts[m]))],
         train_all,
     )
 
     def evaluate_all():
         ds, split = load()
         reports = {
-            m: _evaluate_and_save(ds, split, ckpts[m], threshold, root / f"eval_{m}.json")
-            for m in models
+            m: _evaluate_and_save(ds, split, ckpts[m], cfg.threshold, root / f"eval_{m}.json")
+            for m in cfg.models
         }
         jsonio.dump(winner_ranking(reports), root / "winners.json")
 
-    eval_fp = _fingerprint({"train": train_fp, "threshold": cfg["threshold"]})
+    eval_fp = _fingerprint({"train": train_fp, "threshold": cfg.threshold})
     _run_stage(
         manifest, force, "evaluate", eval_fp,
-        [root / f"eval_{m}.json" for m in models] + [root / "winners.json"],
+        [root / f"eval_{m}.json" for m in cfg.models] + [root / "winners.json"],
         evaluate_all,
     )
 
@@ -565,12 +539,13 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     ranking = jsonio.load(root / "winners.json")
     best = max(sorted(ranking["win_percentages"]), key=lambda m: ranking["win_percentages"][m])
     imp_fp = _fingerprint(
-        {"imp": imp_cfg, "seed": stage_seeds["importance"], "eval": eval_fp, "best": best}
+        {"imp": cfg.importance.to_dict(), "seed": stage_seeds["importance"], "eval": eval_fp,
+         "best": best}
     )
     _run_stage(
         manifest, force, "importance", imp_fp, [root / "importance.json"],
         lambda: _importance_and_save(
-            *load(), ckpts[best], imp_mode, imp_repeats, stage_seeds["importance"],
+            *load(), ckpts[best], cfg.importance, stage_seeds["importance"],
             root / "importance.json",
         ),
     )
@@ -584,8 +559,8 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
 
 
 def cmd_pipeline(args) -> int:
-    config = _load_json(args.config, "pipeline config") if args.config else {}
-    run_pipeline(config, args.out, force=args.force)
+    run_pipeline(_load_json(args.config, "pipeline config") if args.config else {}, args.out,
+                 force=args.force)
     print(f"pipeline: all stages complete -> {args.out}")
     return EXIT_OK
 
@@ -611,8 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", required=True, help="raw-table directory")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=0.2, dest="test_fraction")
-    p.add_argument("--val-fraction", type=float, default=0.2, dest="val_fraction",
+    p.add_argument("--test-fraction", type=float, default=PreprocessConfig.test_fraction)
+    p.add_argument("--val-fraction", type=float, default=PreprocessConfig.val_fraction_of_train,
                    help="fraction of training rows held out for validation")
     p.set_defaults(func=cmd_preprocess)
 
@@ -629,15 +604,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.threshold)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("importance", help="permutation variable importance")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--mode", choices=IMPORTANCE_MODES, default="grouped")
-    p.add_argument("--repeats", type=int, default=30)
+    p.add_argument("--mode", choices=IMPORTANCE_MODES, default=ImportanceConfig.mode)
+    p.add_argument("--repeats", type=int, default=ImportanceConfig.repeats)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_importance)

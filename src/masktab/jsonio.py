@@ -3,13 +3,15 @@ documents.
 
 Every numeric artifact is written with 17 significant digits so that a float64
 round-trips exactly and repeated runs produce byte-identical files. Keys are
-sorted, so a document's field order never reaches the bytes.
+sorted, so a document's field order never reaches the bytes. A config setting
+declares its allowed values once, on its field (``setting``).
 """
 
 import dataclasses
 import functools
 import json
 import math
+import numbers
 import types
 import typing
 from pathlib import Path
@@ -34,7 +36,8 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj)
+        # "-0" would read back as the integer 0 and lose the sign
+        return "-0.0" if obj == 0.0 and math.copysign(1.0, obj) < 0 else format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
@@ -99,6 +102,44 @@ def _plain(obj):
     return obj
 
 
+class SettingError(ValueError):
+    """A value its field does not allow, named by the field's dotted path."""
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(f"{path} {problem}")
+        self.path, self.problem = path, problem
+
+
+def setting(allowed, default=dataclasses.MISSING):
+    """A dataclass field whose value (each value, for a tuple) must lie in
+    ``allowed``: an interval such as "[0, 1)" (inf: no bound), or a tuple of strings."""
+    return dataclasses.field(default=default, metadata={"allowed": allowed})
+
+
+def _allows(allowed, x) -> bool:
+    if not isinstance(allowed, str):
+        return x in allowed
+    lo, hi = (float(bound) for bound in allowed[1:-1].split(","))  # NaN lies in no interval
+    above = lo <= x if allowed[0] == "[" else lo < x
+    return above and (x <= hi if allowed[-1] == "]" else x < hi)
+
+
+@functools.cache
+def declared(cls) -> dict:
+    """Field name -> allowed values, for each field of ``cls`` that declares them."""
+    return {f.name: f.metadata["allowed"] for f in dataclasses.fields(cls)
+            if "allowed" in f.metadata}
+
+
+def _check_declared(doc) -> None:
+    for name, allowed in declared(type(doc)).items():
+        value = getattr(doc, name)
+        for i, x in enumerate(value) if isinstance(value, (list, tuple)) else [(None, value)]:
+            if x is not None and not _allows(allowed, x):
+                rule = f"lie in {allowed}" if isinstance(allowed, str) else f"be one of {allowed}"
+                raise SettingError(name if i is None else f"{name}[{i}]", f"must {rule}, got {x!r}")
+
+
 @functools.cache
 def _field_types(cls) -> dict:
     hints = typing.get_type_hints(cls)
@@ -108,26 +149,40 @@ def _field_types(cls) -> dict:
 
 def _object(value) -> dict:
     if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {value!r}")
+        raise ValueError(f"must be a JSON object, got {value!r}")
     return value
+
+
+def _within(path: str, tp, value):
+    """_decode_value(tp, value), with a rejected value named under ``path``."""
+    try:
+        return _decode_value(tp, value)
+    except SettingError as exc:
+        sep = "" if exc.path.startswith("[") else "."
+        raise SettingError(f"{path}{sep}{exc.path}", exc.problem) from None
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int past float
+        raise SettingError(path, str(exc)) from None
 
 
 def _decode(cls, d):
     """Build a dataclass or named tuple ``cls`` from its JSON object.
 
     Each value is converted by its field's type hint; a missing key takes the
-    field's default. A key that is not a field raises ValueError, except
+    field's default. A key that is not a field is rejected, except
     ``"version"`` on a versioned document.
     """
     types_ = _field_types(cls)
     allowed = {"version"} if getattr(cls, "VERSION", None) is not None else set()
-    unknown = set(_object(d)) - set(types_) - allowed
+    unknown = sorted(set(_object(d)) - set(types_) - allowed)
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {sorted(unknown)}")
-    return cls(**{k: _decode_value(types_[k], v) for k, v in d.items() if k in types_})
+        raise SettingError(unknown[0], f"is an unknown {cls.__name__} key")
+    return cls(**{k: _within(k, types_[k], v) for k, v in d.items() if k in types_})
 
 
 def _decode_value(tp, value):
+    """``value`` as type ``tp``. Numbers are strict: an int field takes no
+    bool, string or non-integral number; a float field takes no bool or
+    string, but takes an integer, which is how a whole float is written."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -136,21 +191,26 @@ def _decode_value(tp, value):
         return _decode_value(tp, value)
     if dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"):
         return _decode(tp, value)
-    if origin is tuple:
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode_value(args[0], v) for v in value)
-        if len(value) != len(args):
-            raise ValueError(f"expected {len(args)} values, got {value!r}")
-        return tuple(_decode_value(a, v) for a, v in zip(args, value))
-    if origin is list:
-        return [_decode_value(args[0], v) for v in value]
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"must be a list, got {value!r}")
+        if origin is list or args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"must hold {len(args)} values, got {value!r}")
+        return origin(_within(f"[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
     if origin is dict:
-        return {k: _decode_value(args[1], v) for k, v in _object(value).items()}
+        return {k: _within(k, args[1], v) for k, v in _object(value).items()}
     if tp is bool and not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    if tp in (int, float, str, bool):
-        return tp(value)
-    return value  # e.g. an ndarray field, which the dataclass converts itself
+        raise ValueError(f"must be true or false, got {value!r}")
+    if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                      and not (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if tp is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"must be a number, got {value!r}")
+    if tp is str and not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return tp(value) if tp in (int, float) else value  # an ndarray field converts itself
 
 
 class Document:
@@ -160,10 +220,18 @@ class Document:
     objects, tuples and arrays as lists) and read back by their type hints;
     reading rejects unknown keys. A top-level document writes
     ``"version": VERSION``; a nested one sets ``VERSION = None`` and writes
-    none.
+    none. Every construction checks the values each field declares with
+    ``setting``, then the document's own ``check``.
     """
 
     VERSION: typing.ClassVar[int | None] = 1
+
+    def __post_init__(self):
+        _check_declared(self)
+        self.check()
+
+    def check(self) -> None:
+        """Rules across fields; raise SettingError naming the field at fault."""
 
     def to_dict(self) -> dict:
         d = _plain(self)

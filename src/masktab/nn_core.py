@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
+from .jsonio import setting
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
@@ -28,25 +29,19 @@ ADAM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(jsonio.Document):
     """Shape and behaviour of one dense layer.
 
     Dropout (inverted, scale 1/(1-p)) is applied after the activation and only
     in train mode.
     """
 
-    in_dim: int
-    out_dim: int
-    activation: str = "relu"
-    dropout_rate: float = 0.0
+    VERSION = None
 
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+    in_dim: int = setting("[1, inf)")
+    out_dim: int = setting("[1, inf)")
+    activation: str = setting(ACTIVATIONS, "relu")
+    dropout_rate: float = setting("[0, 1)", 0.0)
 
 
 @dataclass
@@ -445,10 +440,7 @@ def save_checkpoint(params: NetworkParams, path, extra: dict | None = None) -> N
     for full_path, layer in params.named_layers():
         layers.append({
             "path": full_path,
-            "in_dim": layer.spec.in_dim,
-            "out_dim": layer.spec.out_dim,
-            "activation": layer.spec.activation,
-            "dropout_rate": layer.spec.dropout_rate,
+            **layer.spec.to_dict(),
             "W": _encode_array(layer.W),
             "b": _encode_array(layer.b),
         })
@@ -463,11 +455,8 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     backbone: list[DenseLayer] = []
     heads: dict[str, list[DenseLayer]] = {}
     for rec in doc["layers"]:
-        spec = LayerSpec(
-            in_dim=int(rec["in_dim"]),
-            out_dim=int(rec["out_dim"]),
-            activation=rec["activation"],
-            dropout_rate=float(rec["dropout_rate"]),
+        spec = LayerSpec.from_dict(
+            {k: rec[k] for k in ("in_dim", "out_dim", "activation", "dropout_rate")}
         )
         layer = DenseLayer(
             W=_decode_array(rec["W"], (spec.out_dim, spec.in_dim), f"{rec['path']}.W"),

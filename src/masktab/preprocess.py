@@ -21,6 +21,7 @@ from .data_model import (
     SplitAssignment,
     TabularDataset,
 )
+from .jsonio import setting
 
 logger = logging.getLogger(__name__)
 
@@ -114,6 +115,16 @@ def soil_ph_midpoint(value):
             lo = float(text[0] + lo_s)
             return (lo + float(hi_s)) / 2.0
     return float(text)
+
+
+@dataclass
+class PreprocessConfig(jsonio.Document):
+    """The split fractions: the pipeline's ``preprocess`` section."""
+
+    VERSION = None
+
+    test_fraction: float = setting("(0, 1)", 0.2)
+    val_fraction_of_train: float = setting("[0, 1)", 0.2)
 
 
 class NormStats(NamedTuple):
@@ -474,14 +485,6 @@ def _partition_blocks(
     return selected, rest
 
 
-def check_split_fractions(test_fraction: float, val_fraction_of_train: float) -> None:
-    """ValueError unless 0 < test_fraction < 1 and 0 <= val_fraction_of_train < 1."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if not 0.0 <= val_fraction_of_train < 1.0:
-        raise ValueError(f"val_fraction_of_train must lie in [0, 1), got {val_fraction_of_train}")
-
-
 def split_blocks(
     blocks: np.ndarray,
     y_bin: np.ndarray,
@@ -497,7 +500,7 @@ def split_blocks(
     per-response positive rates similar across sides where the block structure
     allows it.
     """
-    check_split_fractions(test_fraction, val_fraction_of_train)
+    PreprocessConfig(test_fraction, val_fraction_of_train)  # checks both fractions
     blocks = np.asarray(blocks, dtype=object)
     block_rows: dict[str, np.ndarray] = {}
     for i, lab in enumerate(blocks):

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import jsonio
 from .data_model import RawMeta, RawTable, block_label
+from .jsonio import SettingError, setting
 from .preprocess import relative_humidity
 
 # Default response panel: (name, missing fraction, detection rate). The
@@ -89,12 +90,14 @@ _YEARS = (2022, 2023)
 
 
 @dataclass(frozen=True)
-class PlantedEffect:
+class PlantedEffect(jsonio.Document):
     """A known linear contribution of one variable to one response's latent score."""
 
+    VERSION = None
+
     variable: str
-    response: int
-    size: float
+    response: int = setting("[0, inf)")
+    size: float = setting("(-inf, inf)")
 
 
 def default_planted_effects(n_responses: int) -> tuple[PlantedEffect, ...]:
@@ -116,61 +119,43 @@ def default_planted_effects(n_responses: int) -> tuple[PlantedEffect, ...]:
 class SynthConfig(jsonio.Document):
     """Everything that determines one synthetic dataset; seed fixes it all."""
 
-    n_samples: int = 300
-    n_sites: int = 100
-    n_responses: int = 24
-    weather_lag_days: int = 90
-    missingness_profile: tuple[float, ...] | None = None  # None: survey-shaped default
+    n_samples: int = setting("[1, inf)", 300)
+    n_sites: int = setting("[1, inf)", 100)
+    n_responses: int = setting("[1, inf)", 24)
+    weather_lag_days: int = setting("[1, inf)", 90)
+    # None, for either profile: the survey-shaped default
+    missingness_profile: tuple[float, ...] | None = setting("[0, 1)", None)
     planted_effects: tuple[PlantedEffect, ...] | None = None  # None: default weather+moisture
-    seed: int = 0
-    occurrence_profile: tuple[float, ...] | None = None
-    latent_noise_sd: float = 0.5
-    interaction_strength: float = 0.5
-    concentration_slope: float = 1.0
+    seed: int = setting("[0, inf)", 0)  # seeds PCG64, which takes no negative seed
+    occurrence_profile: tuple[float, ...] | None = setting("(0, 1)", None)
+    latent_noise_sd: float = setting("[0, inf)", 0.5)
+    interaction_strength: float = setting("(-inf, inf)", 0.5)
+    concentration_slope: float = setting("[0, inf)", 1.0)  # below 0, concentrations go negative
 
-    def resolved_missingness(self) -> np.ndarray:
-        if self.missingness_profile is not None:
-            prof = np.asarray(self.missingness_profile, dtype=np.float64)
-            if prof.size != self.n_responses:
-                raise ValueError(
-                    f"missingness_profile has {prof.size} entries for {self.n_responses} responses"
-                )
-        else:
-            prof = np.array(
-                [DEFAULT_RESPONSES[k % len(DEFAULT_RESPONSES)][1] for k in range(self.n_responses)]
-            )
-        if np.any(prof < 0) or np.any(prof >= 1):
-            raise ValueError("missing fractions must lie in [0, 1)")
-        return prof
+    def check(self):
+        for name in ("missingness_profile", "occurrence_profile"):
+            profile = getattr(self, name)
+            if profile is not None and len(profile) != self.n_responses:
+                raise SettingError(name, f"needs {self.n_responses} entries, got {len(profile)}")
 
-    def resolved_occurrence(self) -> np.ndarray:
-        if self.occurrence_profile is not None:
-            occ = np.asarray(self.occurrence_profile, dtype=np.float64)
-            if occ.size != self.n_responses:
-                raise ValueError(
-                    f"occurrence_profile has {occ.size} entries for {self.n_responses} responses"
-                )
-        else:
-            occ = np.array(
-                [DEFAULT_RESPONSES[k % len(DEFAULT_RESPONSES)][2] for k in range(self.n_responses)]
-            )
-        if np.any(occ <= 0) or np.any(occ >= 1):
-            raise ValueError("occurrence rates must lie in (0, 1)")
-        return occ
+    def resolved_profile(self, kind: str) -> np.ndarray:
+        """Per-response ``kind`` ("missingness", "occurrence"): as configured, or survey-shaped."""
+        profile = getattr(self, f"{kind}_profile")
+        if profile is None:
+            column = 1 if kind == "missingness" else 2
+            profile = [DEFAULT_RESPONSES[k % len(DEFAULT_RESPONSES)][column]
+                       for k in range(self.n_responses)]
+        return np.asarray(profile, dtype=np.float64)
 
     def resolved_planted(self) -> tuple[PlantedEffect, ...]:
-        planted = (
-            self.planted_effects
-            if self.planted_effects is not None
-            else default_planted_effects(self.n_responses)
-        )
-        allowed = set(LAG_AGGREGATES) | set(CONTINUOUS_AGRONOMICS)
-        for p in planted:
-            if p.variable not in allowed:
+        if self.planted_effects is None:
+            return default_planted_effects(self.n_responses)
+        for p in self.planted_effects:
+            if p.variable not in LAG_AGGREGATES + CONTINUOUS_AGRONOMICS:
                 raise ValueError(f"planted variable {p.variable!r} not in generated schema")
-            if not 0 <= p.response < self.n_responses:
+            if p.response >= self.n_responses:
                 raise ValueError(f"planted response index {p.response} out of range")
-        return tuple(planted)
+        return self.planted_effects
 
     def response_names(self) -> tuple[str, ...]:
         names = []
@@ -238,8 +223,8 @@ def _inject_block_missingness(
 
 def generate(cfg: SynthConfig) -> RawTable:
     """Produce the raw, pre-encoding table. Pure function of the config."""
-    miss = cfg.resolved_missingness()
-    occ = cfg.resolved_occurrence()
+    miss = cfg.resolved_profile("missingness")
+    occ = cfg.resolved_profile("occurrence")
     planted = cfg.resolved_planted()
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     n = cfg.n_samples

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import jsonio, nn_core
 from .data_model import SplitAssignment, TabularDataset
+from .jsonio import SettingError, setting
 from .masked_loss import MaskedBatch, masked_bce, masked_mse
 from .nn_core import AdamState, DenseLayer, LayerSpec, NetworkParams
 from .preprocess import split_blocks
@@ -26,42 +27,40 @@ class AEConfig(jsonio.Document):
 
     VERSION = None
 
-    encoder_dims: tuple[int, ...] = (512, 256, 128)
-    dropout: float = 0.2
-    lr: float = 1e-3
-    max_epochs: int = 100
-    batch_size: int = 32
-    patience: int = 10
-    holdout_fraction: float = 0.2
+    encoder_dims: tuple[int, ...] = setting("[1, inf)", (512, 256, 128))
+    dropout: float = setting("[0, 1)", 0.2)
+    lr: float = setting("(0, inf)", 1e-3)
+    max_epochs: int = setting("[1, inf)", 100)
+    batch_size: int = setting("[1, inf)", 32)
+    patience: int = setting("[0, inf)", 10)
+    holdout_fraction: float = setting("(0, 1)", 0.2)
     include_test_rows: bool = False  # reconstruction may legitimately see test X
 
-    def __post_init__(self):
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError(f"ae.holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
+    def check(self):
+        if not self.encoder_dims:
+            raise SettingError("encoder_dims", "must name at least one layer")
 
 
 @dataclass
 class TrainConfig(jsonio.Document):
     """Supervised training hyperparameters; defaults follow the reference protocol."""
 
-    hidden_dims: tuple[int, ...] = (128, 64)
-    dropout: float = 0.2
-    lr: float = 1e-3
-    max_epochs: int = 500
-    batch_size: int = 32
-    patience: int = 25
+    hidden_dims: tuple[int, ...] = setting("[1, inf)", (128, 64))
+    dropout: float = setting("[0, 1)", 0.2)
+    lr: float = setting("(0, inf)", 1e-3)
+    max_epochs: int = setting("[1, inf)", 500)
+    batch_size: int = setting("[1, inf)", 32)
+    patience: int = setting("[0, inf)", 25)
     shuffle: bool = False
-    loss_weights: tuple[float, float] = (1.0, 1.0)
-    seed: int = 0
+    loss_weights: tuple[float, float] = setting("[0, inf)", (1.0, 1.0))
+    seed: int = setting("[0, inf)", 0)  # seeds PCG64, which takes no negative seed
     ae: AEConfig = field(default_factory=AEConfig)
 
-    def __post_init__(self):
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise ValueError("max_epochs and batch_size must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
+    def check(self):
         if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
+            raise SettingError("patience", f"must not exceed max_epochs, got {self.patience}")
+        if not any(self.loss_weights):
+            raise SettingError("loss_weights", f"must not all be 0, got {self.loss_weights}")
 
 
 @dataclass

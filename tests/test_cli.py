@@ -383,6 +383,85 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestStrictSettings:
+    """Each value here once passed, was truncated, or failed deep in numpy."""
+
+    @pytest.mark.parametrize("config, named", [
+        ({"seed": 1.5}, "seed"),
+        ({"n_samples": True}, "n_samples"),
+        ({"n_samples": 0}, "n_samples"),
+        ({"n_sites": 0}, "n_sites"),
+        ({"n_responses": 0}, "n_responses"),
+        ({"seed": -1}, "seed"),
+    ], ids=["seed-fraction", "n-samples-bool", "n-samples-0", "n-sites-0", "n-responses-0",
+            "seed-negative"])
+    def test_bad_synthesis_setting_is_config_error(self, tmp_path, capsys, config, named):
+        cfg = write_json(tmp_path / "synth.json", {**SMALL_SYNTH, **config})
+        out = tmp_path / "raw"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: synthesis config: {named} must" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, named", [
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"seed": -1}, "seed must lie in [0, inf), got -1"),
+        ({"hidden_dims": [0]}, "hidden_dims[0] must lie in [1, inf), got 0"),
+        ({"lr": "nan"}, "lr must be a number, got 'nan'"),
+        ({"loss_weights": [0, 0]}, "loss_weights must not all be 0"),
+    ], ids=["seed-string", "seed-negative", "hidden-dims-0", "lr-nan-string", "loss-weights-0"])
+    def test_bad_train_setting_is_config_error(self, pipeline_dir, tmp_path, capsys, config,
+                                               named):
+        cfg = write_json(tmp_path / "train.json", {**SMALL_TRAIN, **config})
+        ds_dir, out = pipeline_dir / "dataset", tmp_path / "ckpt.json"
+        assert main(["train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+                     "--model", "baseline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_negative_env_seed_is_config_error(self, pipeline_dir, tmp_path, capsys,
+                                               monkeypatch, command):
+        monkeypatch.setenv("MASKTAB_SEED", "-5")
+        ds_dir, out = pipeline_dir / "dataset", tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--config", write_json(tmp_path / "s.json", SMALL_SYNTH)],
+            "train": ["train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+                      "--model", "baseline",
+                      "--config", write_json(tmp_path / "t.json", SMALL_TRAIN)],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "MASKTAB_SEED" in err and "seed must lie in [0, inf), got -5" in err
+        assert not out.exists()
+
+    def test_negative_pipeline_seed_is_only_hashed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MASKTAB_SEED", "-5")
+        out = run_pipeline({**SMALL_PIPELINE, "models": ["baseline"]}, tmp_path / "art")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["global_seed"] == -5
+        assert manifest["stage_seeds"]["generate"] == derive_seed(-5, "generate")
+
+    @pytest.mark.parametrize("threshold", ["nan", "7", "-0.5"])
+    def test_threshold_outside_unit_interval_is_config_error(self, pipeline_dir, tmp_path,
+                                                             capsys, threshold):
+        ds_dir, out = pipeline_dir / "dataset", tmp_path / "eval.json"
+        assert main([
+            "evaluate", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--ckpt", str(pipeline_dir / "ckpt_baseline.json"), "--out", str(out),
+            "--threshold", threshold,
+        ]) == EXIT_CONFIG
+        assert "threshold must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pipeline_threshold_checked_before_any_stage(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", {**SMALL_PIPELINE, "threshold": 7})
+        out = tmp_path / "art"
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "threshold must lie in [0, 1], got 7.0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSeedHandling:
     def test_env_overrides_config_seed(self, tmp_path, monkeypatch):
         cfg = write_json(tmp_path / "synth.json", SMALL_SYNTH)

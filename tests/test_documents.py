@@ -1,12 +1,17 @@
 """The one dataclass codec behind every config and artifact document."""
 
+import dataclasses
+import types
+import typing
+
 import numpy as np
 import pytest
 
 from masktab import jsonio
+from masktab.cli import PipelineConfig
 from masktab.data_model import FeatureSchema, RawMeta, SchemaEntry, SplitAssignment
 from masktab.metrics import EvalReport, ResponseMetrics
-from masktab.preprocess import NormStats, PreprocessReport
+from masktab.preprocess import NormStats, PreprocessConfig, PreprocessReport
 from masktab.synthgen import PlantedEffect, SynthConfig
 from masktab.trainer import AEConfig, TrainConfig, TrainHistory
 from masktab.vimp import ImportanceEntry, ImportanceReport
@@ -125,3 +130,138 @@ def test_normalisation_stats_written_as_mean_and_stdev():
     assert (mean, std) == (1.25, 0.1)
     with pytest.raises(ValueError, match="std"):
         PreprocessReport.from_dict({"normalisation_stats": {"x": {"mean": 0.0, "std": 1.0}}})
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("x", SPECIAL_FLOATS, ids=repr)
+def test_special_floats_roundtrip_bit_for_bit(x):
+    history = TrainHistory(train_mse=[x], val_mse=[x, 1.0])
+    text = jsonio.dumps(history.to_dict())
+    back = TrainHistory.from_dict(jsonio.loads(text))
+    assert float_bits(back.train_mse) == float_bits([x])
+    assert jsonio.dumps(back.to_dict()) == text
+
+
+def test_negative_zero_keeps_its_sign_in_json_only():
+    assert jsonio.dumps(-0.0) == "-0.0\n"
+    assert jsonio.dumps(0.0) == "0\n"
+    assert jsonio.format_float(-0.0) == "-0"  # CSV cells keep their bytes
+
+
+@pytest.mark.parametrize("d, path", [
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"max_epochs": "2"}, "max_epochs"),
+    ({"hidden_dims": [8, 2.5]}, "hidden_dims[1]"),
+    ({"hidden_dims": "88"}, "hidden_dims"),
+    ({"lr": "nan"}, "lr"),
+    ({"lr": True}, "lr"),
+    ({"dropout": None}, "dropout"),
+    ({"loss_weights": [1.0, "1"]}, "loss_weights[1]"),
+    ({"ae": {"batch_size": 32.5}}, "ae.batch_size"),
+    ({"ae": {"include_test_rows": 1}}, "ae.include_test_rows"),
+])
+def test_strict_numbers_name_the_field(d, path):
+    with pytest.raises(jsonio.SettingError) as info:
+        TrainConfig.from_dict(d)
+    assert info.value.path == path
+
+
+def test_whole_numbers_decode_exactly():
+    cfg = TrainConfig.from_dict({"seed": 3.0, "lr": 1, "loss_weights": [1, 0]})
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    assert cfg.lr == 1.0 and type(cfg.lr) is float
+    assert cfg.loss_weights == (1.0, 0.0)
+    with pytest.raises(jsonio.SettingError, match="^lr int too large"):
+        TrainConfig.from_dict({"lr": 10**400})
+    with pytest.raises(jsonio.SettingError, match="must be a string"):
+        SynthConfig.from_dict({"planted_effects": [{"variable": 3, "response": 0, "size": 1}]})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AEConfig(holdout_fraction=0.0), "holdout_fraction must lie in (0, 1), got 0.0"),
+    (lambda: TrainConfig.from_dict({"ae": {"holdout_fraction": 0.0}}),
+     "ae.holdout_fraction must lie in (0, 1), got 0.0"),
+    (lambda: TrainConfig(hidden_dims=(8, 0)), "hidden_dims[1] must lie in [1, inf), got 0"),
+    (lambda: TrainConfig(lr=float("nan")), "lr must lie in (0, inf), got nan"),
+    (lambda: TrainConfig(dropout=1.0), "dropout must lie in [0, 1), got 1.0"),
+    (lambda: SynthConfig(seed=-1), "seed must lie in [0, inf), got -1"),
+    (lambda: SynthConfig(interaction_strength=float("inf")),
+     "interaction_strength must lie in (-inf, inf), got inf"),
+    (lambda: SynthConfig.from_dict({"planted_effects": [{"variable": "yield", "response": -2,
+                                                         "size": 1.0}]}),
+     "planted_effects[0].response must lie in [0, inf), got -2"),
+    (lambda: PreprocessConfig(val_fraction_of_train=1.0),
+     "val_fraction_of_train must lie in [0, 1), got 1.0"),
+    (lambda: PipelineConfig(threshold=7.0), "threshold must lie in [0, 1], got 7.0"),
+    (lambda: PipelineConfig.from_dict({"importance": {"mode": "bogus"}}),
+     "importance.mode must be one of ('grouped', 'per-column'), got 'bogus'"),
+])
+def test_construction_and_decoding_share_one_rule(build, message):
+    with pytest.raises(jsonio.SettingError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, path", [
+    (lambda: TrainConfig(patience=30, max_epochs=20), "patience"),
+    (lambda: TrainConfig(loss_weights=(0.0, 0.0)), "loss_weights"),
+    (lambda: AEConfig(encoder_dims=()), "encoder_dims"),
+    (lambda: SynthConfig(n_responses=3, occurrence_profile=(0.5, 0.5)), "occurrence_profile"),
+    (lambda: PipelineConfig.from_dict({"synth": {"n_responses": 1,
+                                                  "missingness_profile": [0.1, 0.2]}}),
+     "synth.missingness_profile"),
+    (lambda: PipelineConfig(models=()), "models"),
+])
+def test_cross_field_rules_name_the_field(build, path):
+    with pytest.raises(jsonio.SettingError) as info:
+        build()
+    assert info.value.path == path
+
+
+def _unwrap(tp):
+    """tp without ``| None``."""
+    args = [a for a in typing.get_args(tp) if a is not type(None)]
+    return args[0] if typing.get_origin(tp) in (typing.Union, types.UnionType) else tp
+
+
+def undeclared_numbers(cls) -> list[str]:
+    """Every numeric field, or tuple of numbers, of ``cls`` and of the
+    documents nested in it that declares no interval."""
+    missing = []
+    for name, tp in typing.get_type_hints(cls).items():
+        tp = _unwrap(tp)
+        if name == "VERSION":
+            continue
+        items = typing.get_args(tp) if typing.get_origin(tp) is tuple else (tp,)
+        items = [a for a in items if a is not Ellipsis]
+        if dataclasses.is_dataclass(items[0]):
+            missing += [f"{cls.__name__}.{m}" for m in undeclared_numbers(items[0])]
+        elif any(a in (int, float) for a in items):
+            if not isinstance(jsonio.declared(cls).get(name), str):
+                missing.append(f"{cls.__name__}.{name}")
+    return missing
+
+
+@pytest.mark.parametrize("cls", [SynthConfig, TrainConfig, AEConfig, PipelineConfig],
+                         ids=lambda c: c.__name__)
+def test_every_numeric_setting_declares_its_range(cls):
+    assert undeclared_numbers(cls) == []
+
+
+def test_declaration_guard_sees_an_undeclared_setting():
+    @dataclasses.dataclass
+    class Loose(jsonio.Document):
+        declared_rate: float = jsonio.setting("(0, 1)", 0.5)
+        sizes: tuple[int, ...] = (1, 2)
+        nested: AEConfig = dataclasses.field(default_factory=AEConfig)
+
+    assert undeclared_numbers(Loose) == ["Loose.sizes"]
