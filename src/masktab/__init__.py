@@ -7,7 +7,7 @@ learning, per-response evaluation, and grouped permutation variable
 importance.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .data_model import (  # noqa: F401
     FeatureSchema,
@@ -62,6 +62,7 @@ from .trainer import (  # noqa: F401
     finetune,
     predict,
     pretrain_autoencoder,
+    pretrain_encoder,
     train_baseline,
     train_model,
 )

@@ -189,8 +189,8 @@ def _history_path(ckpt: Path) -> Path:
     return ckpt.parent / f"{ckpt.stem}_history.json"
 
 
-def _train_and_save(ds, split, cfg: TrainConfig, model: str, out) -> TrainHistory:
-    params, history = train_model(ds, split, cfg, model)
+def _train_and_save(ds, split, cfg: TrainConfig, model: str, out, encoder=None) -> TrainHistory:
+    params, history = train_model(ds, split, cfg, model, encoder=encoder)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     nn_core.save_checkpoint(params, out, extra={"model": model, "seed": cfg.seed})
@@ -253,6 +253,9 @@ def cmd_generate(args) -> int:
 def cmd_preprocess(args) -> int:
     pre = _settings(None, PreprocessConfig, args.test_fraction, args.val_fraction)
     seed = resolve_seed(args.seed)
+    if seed < 0:  # the split seed seeds PCG64, which takes no negative seed
+        flag = "MASKTAB_SEED" if "MASKTAB_SEED" in os.environ else "--seed"
+        raise ConfigError(f"{flag}: seed must lie in [0, inf), got {seed}")
     raw_dir = _require(args.inp, "raw table directory", "run `masktab generate` first",
                        Path.is_dir)
     ds, split = _preprocess_and_save(raw_dir, args.out, pre, seed)
@@ -469,8 +472,16 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
         "importance": derive_seed(global_seed, "importance"),
     }
     synth_cfg = dataclasses.replace(cfg.synth, seed=stage_seeds["generate"])
+    try:  # no declaration checks planted effects: their rules need the generated schema
+        synth_cfg.resolved_planted()
+    except SettingError as exc:
+        raise ConfigError(f"pipeline config: synth.{exc}") from exc
     train_cfgs = {m: dataclasses.replace(cfg.train, seed=stage_seeds[f"train:{m}"])
                   for m in cfg.models}
+    # the pretrained kinds fine-tune one encoder, pre-trained with the train
+    # config of the last of them in MODEL_KINDS order: pretrained-unfrozen's
+    # when requested, so that model stays what `masktab train` gives
+    pretrained = [m for m in MODEL_KINDS if m != "baseline" and m in cfg.models]
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -505,10 +516,16 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     )
 
     # all requested models train under one stage
+    pretrain_history = root / "pretrain_history.json"
+
     def train_all():
         ds, split = load()
+        encoder = None
+        if pretrained:
+            encoder, history = trainer.pretrain_encoder(ds, split, train_cfgs[pretrained[-1]])
+            history.save(pretrain_history)
         for m in cfg.models:
-            _train_and_save(ds, split, train_cfgs[m], m, ckpts[m])
+            _train_and_save(ds, split, train_cfgs[m], m, ckpts[m], encoder=encoder)
 
     train_fp = _fingerprint({
         m: _fingerprint({"train": train_cfgs[m].to_dict(), "dataset": pre_fp, "model": m})
@@ -516,7 +533,8 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     })
     _run_stage(
         manifest, force, "train", train_fp,
-        [p for m in cfg.models for p in (ckpts[m], _history_path(ckpts[m]))],
+        [p for m in cfg.models for p in (ckpts[m], _history_path(ckpts[m]))]
+        + ([pretrain_history] if pretrained else []),
         train_all,
     )
 

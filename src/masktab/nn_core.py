@@ -183,14 +183,6 @@ def activate(z: np.ndarray, kind: str, overwrite: bool = False) -> np.ndarray:
     return z
 
 
-def _activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(np.float64)
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
-
-
 @dataclass
 class _LayerCache:
     x: np.ndarray  # layer input
@@ -279,21 +271,29 @@ def _backprop_stack(
     input_grad: bool,
 ) -> np.ndarray | None:
     """Propagate dL/d(stack output) back through the stack, writing each
-    layer's grads; returns dL/d(stack input), or None unless ``input_grad``."""
+    layer's grads; returns dL/d(stack input), or None unless ``input_grad``.
+
+    The dropout and activation masks multiply in place once the delta is one
+    this function made, so the caller's ``delta`` is never written."""
+    owned = None  # the delta array this function made, once there is one
     for k in reversed(range(len(layers))):
         layer, c, g = layers[k], caches[k], grads[k]
         if delta.shape != c.a.shape:
             raise ValueError(
                 f"upstream gradient shape {delta.shape} does not match activations {c.a.shape}"
             )
-        if c.drop is not None:
-            delta = delta * c.drop
-        delta = delta * _activation_grad(layer.spec.activation, c.z, c.a)
+        masks = [] if c.drop is None else [c.drop]
+        if layer.spec.activation == "relu":
+            masks.append(c.z > 0)
+        elif layer.spec.activation == "sigmoid":
+            masks.append(c.a * (1.0 - c.a))
+        for mask in masks:
+            delta = owned = np.multiply(delta, mask, out=owned)
         np.matmul(delta.T, c.x, out=g.W)
         np.sum(delta, axis=0, out=g.b)
         if k == 0 and not input_grad:
             return None
-        delta = delta @ layer.W
+        delta = owned = delta @ layer.W
     return delta
 
 
@@ -302,31 +302,49 @@ def backward(
     cache: ForwardCache,
     upstream: dict[str, np.ndarray],
     backbone: bool = True,
+    out: NetworkParams | None = None,
 ) -> NetworkParams:
     """Reverse-mode gradients for every parameter, as one flat vector.
 
     ``upstream`` maps head name to dLoss/d(head output); heads absent from it
     contribute nothing. Backbone gradients sum the contributions of all heads.
-    With ``backbone=False`` nothing is propagated into the backbone and its
-    gradients stay zero, which is what frozen fine-tuning needs.
+    With ``backbone=False`` nothing is propagated into the backbone, which
+    is what frozen fine-tuning needs: its gradients are zero in a new
+    buffer and not written in ``out``.
+
+    ``out``, a buffer shaped like ``params`` (``params.zeros_like()``), is
+    written and returned in place of a new one. Every head's slice is
+    overwritten (zeros for a head absent from ``upstream``), and so is the
+    backbone's unless ``backbone=False``, so a training loop can pass the
+    same buffer every step.
     """
     if cache.mode != "train":
         raise ValueError(
             f"backward needs the cache of a train-mode forward, got mode {cache.mode!r}"
         )
-    grads = params.zeros_like()
+    for head in upstream:
+        if head not in params.heads:
+            raise KeyError(f"unknown head {head!r}")
+    if out is None:
+        grads = params.zeros_like()
+    elif _layout(out) != _layout(params):
+        raise ValueError("gradient buffer structure does not match parameters")
+    else:
+        grads = out
+        for head in params.heads.keys() - upstream.keys():
+            for layer in grads.heads[head]:
+                layer.W[...] = 0.0
+                layer.b[...] = 0.0
     into_backbone = backbone and bool(params.backbone)
     if into_backbone:
         trunk_delta = np.zeros_like(cache.backbone[-1].a)
     for head, delta in upstream.items():
-        if head not in params.heads:
-            raise KeyError(f"unknown head {head!r}")
         head_delta = _backprop_stack(
             params.heads[head], cache.heads[head], np.asarray(delta, dtype=np.float64),
             grads.heads[head], input_grad=into_backbone,
         )
         if into_backbone:
-            trunk_delta = trunk_delta + head_delta
+            trunk_delta += head_delta
     if into_backbone:
         _backprop_stack(params.backbone, cache.backbone, trunk_delta, grads.backbone,
                         input_grad=False)

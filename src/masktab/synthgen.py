@@ -150,11 +150,13 @@ class SynthConfig(jsonio.Document):
     def resolved_planted(self) -> tuple[PlantedEffect, ...]:
         if self.planted_effects is None:
             return default_planted_effects(self.n_responses)
-        for p in self.planted_effects:
+        for i, p in enumerate(self.planted_effects):
             if p.variable not in LAG_AGGREGATES + CONTINUOUS_AGRONOMICS:
-                raise ValueError(f"planted variable {p.variable!r} not in generated schema")
+                raise SettingError(f"planted_effects[{i}].variable",
+                                   f"{p.variable!r} not in generated schema")
             if p.response >= self.n_responses:
-                raise ValueError(f"planted response index {p.response} out of range")
+                raise SettingError(f"planted_effects[{i}].response", f"index {p.response} "
+                                   f"out of range for {self.n_responses} responses")
         return self.planted_effects
 
     def response_names(self) -> tuple[str, ...]:

@@ -102,6 +102,7 @@ def _fit(
     backbone's weights and Adam moments untouched.
     """
     state = AdamState.for_params(params, learning_rate=cfg.lr)
+    grads = params.zeros_like()  # every step's gradient is written into this one buffer
     history = TrainHistory()
     best_params = params.copy()
     best_val = np.inf
@@ -117,7 +118,7 @@ def _fit(
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch}: {loss!r}"
                 )
-            grads = nn_core.backward(params, cache, upstream, backbone=backbone)
+            nn_core.backward(params, cache, upstream, backbone=backbone, out=grads)
             nn_core.adam_step(params, grads, state, backbone=backbone)
             for name, value in parts.items():
                 sums[name] = sums.get(name, 0.0) + value
@@ -304,20 +305,38 @@ def finetune(
     return _train_supervised(params, ds, split, cfg, rng, freeze_backbone=frozen)
 
 
+def pretrain_encoder(
+    ds: TabularDataset, split: SplitAssignment, cfg: TrainConfig
+) -> tuple[list[DenseLayer], TrainHistory]:
+    """The pretrained kinds' encoder: ``cfg.ae`` pre-training under ``cfg.seed``
+    on the split's train rows (on every row with ``include_test_rows``)."""
+    ae_rows = (
+        np.arange(ds.n_samples) if cfg.ae.include_test_rows else split.train_rows
+    )
+    return pretrain_autoencoder(
+        ds.X[ae_rows], cfg.ae, seed=cfg.seed, blocks=ds.blocks[ae_rows]
+    )
+
+
 def train_model(
-    ds: TabularDataset, split: SplitAssignment, cfg: TrainConfig, kind: str
+    ds: TabularDataset,
+    split: SplitAssignment,
+    cfg: TrainConfig,
+    kind: str,
+    encoder: list[DenseLayer] | None = None,
 ) -> tuple[NetworkParams, TrainHistory]:
-    """One entry point for the three supported model kinds."""
+    """One entry point for the three supported model kinds.
+
+    A pretrained kind fine-tunes ``encoder`` when one is given (it is not
+    modified), and otherwise pre-trains its own with ``pretrain_encoder``;
+    the baseline has no encoder and ignores it.
+    """
     if kind == "baseline":
         return train_baseline(ds, split, cfg)
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    ae_rows = (
-        np.arange(ds.n_samples) if cfg.ae.include_test_rows else split.train_rows
-    )
-    encoder, _ = pretrain_autoencoder(
-        ds.X[ae_rows], cfg.ae, seed=cfg.seed, blocks=ds.blocks[ae_rows]
-    )
+    if encoder is None:
+        encoder, _ = pretrain_encoder(ds, split, cfg)
     return finetune(encoder, ds, split, cfg, frozen=(kind == "pretrained-frozen"))
 
 

@@ -14,7 +14,11 @@ from masktab.cli import (
     derive_seed,
     main,
     run_pipeline,
+    sha256_file,
 )
+from masktab.data_model import SplitAssignment, load_dataset
+from masktab.nn_core import load_checkpoint
+from masktab.trainer import TrainConfig, TrainHistory, pretrain_encoder
 
 SMALL_SYNTH = {
     "n_samples": 70,
@@ -435,6 +439,34 @@ class TestStrictSettings:
         assert "MASKTAB_SEED" in err and "seed must lie in [0, inf), got -5" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["--seed", "MASKTAB_SEED"])
+    def test_negative_split_seed_is_config_error(self, pipeline_dir, tmp_path, capsys,
+                                                 monkeypatch, source):
+        out = tmp_path / "dataset"
+        argv = ["preprocess", "--in", str(pipeline_dir / "raw"), "--out", str(out)]
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("MASKTAB_SEED", "-2")
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and source in err and "seed must lie in [0, inf)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("effect, named", [
+        ({"variable": "bogus", "response": 0, "size": 1.0}, "synth.planted_effects[0].variable"),
+        ({"variable": "seed_moisture", "response": 4, "size": 1.0},
+         "synth.planted_effects[0].response"),
+    ], ids=["variable", "response"])
+    def test_planted_effect_error_before_any_directory(self, tmp_path, capsys, effect, named):
+        synth = {**SMALL_SYNTH, "planted_effects": [effect]}
+        cfg = write_json(tmp_path / "p.json", {**SMALL_PIPELINE, "synth": synth})
+        out = tmp_path / "art"
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not out.exists()
+
     def test_negative_pipeline_seed_is_only_hashed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MASKTAB_SEED", "-5")
         out = run_pipeline({**SMALL_PIPELINE, "models": ["baseline"]}, tmp_path / "art")
@@ -556,6 +588,45 @@ class TestPipeline:
         for name in ("ckpt_baseline.json", "ckpt_baseline_history.json"):
             assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
+    def test_train_command_matches_pipeline_with_one_pretrained_kind(self, pipeline_dir,
+                                                                     tmp_path):
+        # with one pretrained kind requested, its encoder is pre-trained under
+        # its own seed, exactly as a standalone `masktab train` does
+        ds_dir = pipeline_dir / "dataset"
+        seed = derive_seed(SMALL_PIPELINE["seed"], "train:pretrained-frozen")
+        train_cfg = write_json(tmp_path / "train.json", {**SMALL_TRAIN, "seed": seed})
+        ckpt = tmp_path / "ckpt_pretrained-frozen.json"
+        assert main([
+            "train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--model", "pretrained-frozen", "--config", train_cfg, "--out", str(ckpt),
+        ]) == EXIT_OK
+        for name in ("ckpt_pretrained-frozen.json", "ckpt_pretrained-frozen_history.json"):
+            assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+    def test_pretrain_history_only_with_a_pretrained_kind(self, pipeline_dir, tmp_path):
+        manifest = json.loads((pipeline_dir / "manifest.json").read_text())
+        assert "pretrain_history.json" in manifest["stages"]["train"]["outputs"]
+        out = run_pipeline({**SMALL_PIPELINE, "models": ["baseline"]}, tmp_path / "art")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not (out / "pretrain_history.json").exists()
+        assert "pretrain_history.json" not in manifest["stages"]["train"]["outputs"]
+
+    def test_manifest_of_an_older_version_reruns_train(self, pipeline_dir, tmp_path,
+                                                       monkeypatch):
+        import masktab.cli
+
+        out = tmp_path / "art"
+        shutil.copytree(pipeline_dir, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        write_json(out / "manifest.json", {**manifest, "package_version": "0.1.0"})
+        real, trained = masktab.cli.train_model, []
+        monkeypatch.setattr(masktab.cli, "train_model",
+                            lambda *a, **k: trained.append(a[3]) or real(*a, **k))
+        run_pipeline(SMALL_PIPELINE, out)
+        assert trained == SMALL_PIPELINE["models"]
+        assert (out / "manifest.json").read_bytes() == (
+            pipeline_dir / "manifest.json").read_bytes()
+
     def test_evaluate_command_matches_pipeline_evaluate_stage(self, pipeline_dir, tmp_path):
         ds_dir = pipeline_dir / "dataset"
         out = tmp_path / "eval_baseline.json"
@@ -582,3 +653,58 @@ class TestPipeline:
         assert winners["total_pairs"] > 0
         assert winners["wins"] == {"baseline": winners["total_pairs"]}
         assert winners["win_percentages"] == {"baseline": 100.0}
+
+
+SHARED_PIPELINE = {**SMALL_PIPELINE, "models": ["pretrained-unfrozen", "pretrained-frozen"]}
+
+
+@pytest.fixture(scope="module")
+def shared_encoder_run(tmp_path_factory):
+    """A pipeline with both pretrained kinds, and the autoencoders it pre-trained."""
+    import masktab.trainer
+
+    out = tmp_path_factory.mktemp("shared") / "art"
+    real, fitted = masktab.trainer.pretrain_autoencoder, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masktab.trainer, "pretrain_autoencoder",
+                   lambda *a, **k: fitted.append(k["seed"]) or real(*a, **k))
+        run_pipeline(SHARED_PIPELINE, out)
+    return out, fitted
+
+
+class TestSharedEncoder:
+    """Both fine-tuning modes start from one encoder, pre-trained once per
+    run with the pretrained-unfrozen train config."""
+
+    def unfrozen_cfg(self):
+        seed = derive_seed(SHARED_PIPELINE["seed"], "train:pretrained-unfrozen")
+        return TrainConfig.from_dict({**SMALL_TRAIN, "seed": seed})
+
+    def test_pretrains_once_with_the_unfrozen_seed(self, shared_encoder_run):
+        _, fitted = shared_encoder_run
+        assert fitted == [self.unfrozen_cfg().seed]
+
+    def test_frozen_backbone_is_the_shared_encoder(self, shared_encoder_run):
+        out, _ = shared_encoder_run
+        ds, split = load_dataset(out / "dataset"), SplitAssignment.load(
+            out / "dataset" / "split.json")
+        encoder, history = pretrain_encoder(ds, split, self.unfrozen_cfg())
+        frozen, _ = load_checkpoint(out / "ckpt_pretrained-frozen.json")
+        assert len(frozen.backbone) == len(encoder)
+        for a, b in zip(frozen.backbone, encoder):
+            assert a.W.tobytes() == b.W.tobytes() and a.b.tobytes() == b.b.tobytes()
+        assert TrainHistory.load(out / "pretrain_history.json").to_dict() == history.to_dict()
+        manifest = json.loads((out / "manifest.json").read_text())
+        digest = manifest["stages"]["train"]["outputs"]["pretrain_history.json"]
+        assert digest == sha256_file(out / "pretrain_history.json")
+
+    def test_unfrozen_checkpoint_matches_train_command(self, shared_encoder_run, tmp_path):
+        out, _ = shared_encoder_run
+        ds_dir = out / "dataset"
+        train_cfg = write_json(tmp_path / "train.json", self.unfrozen_cfg().to_dict())
+        ckpt = tmp_path / "ckpt_pretrained-unfrozen.json"
+        assert main([
+            "train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--model", "pretrained-unfrozen", "--config", train_cfg, "--out", str(ckpt),
+        ]) == EXIT_OK
+        assert ckpt.read_bytes() == (out / ckpt.name).read_bytes()

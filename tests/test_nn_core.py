@@ -253,6 +253,86 @@ class TestBackward:
         assert max_rel_err(fd, flatten(grads)) < 1e-4
 
 
+
+def reference_backward(params, cache, upstream, backbone=True):
+    """The allocating backward the in-place one replaced, as an oracle: each
+    mask applied as a fresh product, and every gradient a fresh array."""
+    grads = params.zeros_like()
+
+    def stack(layers, caches, delta, out):
+        for layer, c, g in reversed(list(zip(layers, caches, out))):
+            if c.drop is not None:
+                delta = delta * c.drop
+            kind = layer.spec.activation
+            delta = delta * ((c.z > 0).astype(np.float64) if kind == "relu"
+                             else c.a * (1.0 - c.a) if kind == "sigmoid" else np.ones_like(c.z))
+            g.W[...] = delta.T @ c.x
+            g.b[...] = delta.sum(axis=0)
+            delta = delta @ layer.W
+        return delta
+
+    trunk = np.zeros_like(cache.backbone[-1].a)
+    for head, delta in upstream.items():
+        trunk = trunk + stack(params.heads[head], cache.heads[head], delta, grads.heads[head])
+    if backbone:
+        stack(params.backbone, cache.backbone, trunk, grads.backbone)
+    return grads
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+class TestGradientBuffer:
+    """backward(..., out=buffer) writes every slice of a reused buffer."""
+
+    CASES = {
+        "full": (True, ("cont", "bin", "recon")),
+        "frozen-backbone": (False, ("cont", "bin", "recon")),
+        "head-missing": (True, ("cont", "recon")),
+    }
+
+    def instance(self):
+        net = small_network(seed=3, dropout=0.25)
+        recon = [LayerSpec(3, 4, activation="relu", dropout_rate=0.25),
+                 LayerSpec(4, 5, activation="linear")]
+        params = init_network([l.spec for l in net.backbone],
+                              {**{h: [l.spec for l in ls] for h, ls in net.heads.items()},
+                               "recon": recon}, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((6, 5))
+        out, cache = forward(params, x, mode="train", rng=np.random.default_rng(5))
+        upstream = {h: rng.standard_normal(o.shape) for h, o in out.items()}
+        upstream["cont"][0, 0] = -0.0
+        return params, cache, upstream
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_dirty_buffer_matches_fresh_backward_bit_for_bit(self, case):
+        backbone, heads = self.CASES[case]
+        params, cache, upstream = self.instance()
+        upstream = {h: upstream[h] for h in heads}
+        given = {h: d.copy() for h, d in upstream.items()}
+        fresh = backward(params, cache, upstream, backbone=backbone)
+        buf = params.zeros_like()
+        # a frozen backbone's slice is not written: it keeps what it held
+        written = slice(0 if backbone else params.backbone_size, None)
+        for fill in (np.nan, -0.0, 7.0):  # reused across steps with stale values
+            buf.flat[:] = fill
+            assert backward(params, cache, upstream, backbone=backbone, out=buf) is buf
+            assert np.array_equal(bits(buf.flat[written]), bits(fresh.flat[written]))
+            assert np.array_equal(bits(buf.flat[: written.start]),
+                                  bits(np.full(written.start, fill)))
+        assert not fresh.flat[: written.start].any()
+        oracle = reference_backward(params, cache, upstream, backbone=backbone)
+        assert np.array_equal(bits(fresh.flat), bits(oracle.flat))
+        for h, d in upstream.items():  # the caller's upstream is never written
+            assert np.array_equal(bits(d), bits(given[h]))
+
+    def test_buffer_of_another_network_rejected(self):
+        params, cache, upstream = self.instance()
+        with pytest.raises(ValueError, match="gradient buffer structure"):
+            backward(params, cache, upstream, out=small_network().zeros_like())
+
 class TestAdam:
     def scalar_params(self, value=1.0):
         layer = DenseLayer(W=np.array([[value]]), b=np.array([0.0]),

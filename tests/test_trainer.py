@@ -12,6 +12,7 @@ from masktab.trainer import (
     finetune,
     predict,
     pretrain_autoencoder,
+    pretrain_encoder,
     train_baseline,
     train_model,
 )
@@ -190,9 +191,9 @@ class TestFinetune:
         full_backward, full_adam = nn_core.backward, nn_core.adam_step
         calls = []
 
-        def zeroed_backward(p, cache, upstream, backbone=True):
+        def zeroed_backward(p, cache, upstream, backbone=True, out=None):
             calls.append(backbone)
-            grads = full_backward(p, cache, upstream)
+            grads = full_backward(p, cache, upstream, out=out)
             if not backbone:
                 for layer in grads.backbone:
                     layer.W[:] = 0.0
@@ -254,3 +255,26 @@ class TestTrainModel:
             params, hist = train_model(ds, split, cfg, kind)
             assert params.backbone[0].spec.in_dim == ds.n_features
             assert len(hist.val_combined) == hist.stopped_epoch + 1
+
+    def test_given_encoder_is_fine_tuned_instead_of_pretraining(self, planted, monkeypatch):
+        ds, split = planted
+        cfg = quick_cfg(max_epochs=5, patience=5, seed=3)
+        cfg.ae.encoder_dims = (24, 12)
+        cfg.ae.max_epochs = 5
+        encoder, history = pretrain_encoder(ds, split, cfg)
+        rows = split.train_rows
+        direct, direct_history = pretrain_autoencoder(ds.X[rows], cfg.ae, seed=3,
+                                                      blocks=ds.blocks[rows])
+        assert np.array_equal(flatten_encoder(encoder), flatten_encoder(direct))
+        assert history.to_dict() == direct_history.to_dict()
+        before = flatten_encoder(encoder)
+        own = {kind: train_model(ds, split, cfg, kind) for kind in
+               ("pretrained-frozen", "pretrained-unfrozen")}
+        import masktab.trainer
+
+        monkeypatch.setattr(masktab.trainer, "pretrain_autoencoder", None)  # must not run
+        for kind, (params, hist) in own.items():
+            shared, shared_hist = train_model(ds, split, cfg, kind, encoder=encoder)
+            assert np.array_equal(shared.flat, params.flat)
+            assert shared_hist.to_dict() == hist.to_dict()
+        assert np.array_equal(flatten_encoder(encoder), before)
