@@ -25,11 +25,13 @@ from . import __version__, jsonio, nn_core, trainer, vimp
 from .data_model import (
     RawTable,
     SplitAssignment,
+    csv_line,
     load_dataset,
     load_raw_table,
     save_dataset,
     save_raw_table,
     validate,
+    write_csv,
 )
 from .jsonio import SettingError, setting
 from .metrics import METRIC_NAMES, EvalReport, evaluate_predictions, winner_ranking
@@ -146,7 +148,7 @@ def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
 
 
 # what reading a malformed or missing input file raises
-_UNREADABLE = (KeyError, OSError, StopIteration, TypeError, ValueError)
+_UNREADABLE = (KeyError, OSError, StopIteration, TypeError, ValueError, csv.Error)
 
 
 def _preprocess_and_save(raw_dir, out, pre: PreprocessConfig, seed: int):
@@ -353,19 +355,14 @@ def write_report(artifact_dir) -> tuple[dict, str]:
     aggregate, text = build_report(artifact_dir)
     files = _written_report_files(Path(artifact_dir))
     jsonio.dump(aggregate, files["json"])
-    with open(files["csv"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model", *METRIC_NAMES, "win_pct"])
-        for row in aggregate["models"]:
-            w.writerow(
-                [row["model"]]
-                + [
-                    jsonio.format_float(row[m]) if row[m] is not None else ""
-                    for m in METRIC_NAMES
-                ]
-                + [jsonio.format_float(aggregate["ranking"]["win_percentages"][row["model"]])]
-            )
-    files["txt"].write_text(text, encoding="utf-8")
+    win_pct = aggregate["ranking"]["win_percentages"]
+    write_csv(files["csv"], ["model", *METRIC_NAMES, "win_pct"], (
+        csv_line([row["model"]]
+                 + [jsonio.format_float(row[m]) if row[m] is not None else "" for m in METRIC_NAMES]
+                 + [jsonio.format_float(win_pct[row["model"]])])
+        for row in aggregate["models"]))
+    with jsonio.atomic_write(files["txt"]) as fh:
+        fh.write(text)
     return aggregate, text
 
 

@@ -12,7 +12,9 @@ sentinel.
 """
 
 import csv
+import itertools
 import math
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -294,12 +296,65 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(x) for x in row])
+# The CSV line, newline included, of a row of string cells: writerow returns
+# what the file's write returns, and this "file" writes nothing and returns the line.
+csv_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _quoted(cell: str) -> str:
+    """One cell as csv.writer writes it amid other cells: quoted only when it
+    needs to be, and an empty cell bare (a row's lone empty cell is ``""``)."""
+    return csv_line([cell, ""])[:-2]
+
+
+def write_csv(path, header: list[str], lines) -> None:
+    """Write ``header`` and the body ``lines`` (each ending in a newline)
+    through one atomic write. In a one-column file an empty line is written
+    as csv.writer writes a lone empty cell, ``""``."""
+    blank = '""\n' if len(header) == 1 else "\n"
+    with jsonio.atomic_write(path) as fh:
+        fh.write(csv_line(header))
+        for line in lines:
+            fh.write(blank if line == "\n" else line)
+
+
+# A finite "%.17g" or "%d" token holds neither "n" nor "i", so in a line of
+# numbers these replacements touch only the non-finite cells, and give what
+# _cell gives for them ("nan" -> "", "inf" -> "Infinity", "-inf" -> "-Infinity").
+_NONFINITE = (("nan", ""), ("inf", "Infinity"))
+
+
+def _matrix_lines(matrix: np.ndarray, fmt: str = "%.17g"):
+    """The CSV lines of a numeric matrix, one row template at a time; each
+    cell reads as ``_cell`` writes it ("%.17g" % x is format(x, ".17g"))."""
+    template = ",".join([fmt] * matrix.shape[1]) + "\n"
+    finite = np.isfinite(matrix).all(axis=1)
+    for row, ok in zip(matrix, finite):
+        line = template % tuple(row.tolist())
+        if not ok:
+            for token, cell in _NONFINITE:
+                line = line.replace(token, cell)
+        yield line
+
+
+def _raw_lines(columns: dict[str, np.ndarray]):
+    """The CSV lines of a raw table's columns: float cells by "%.17g" in one
+    row template, every other cell through ``_cell`` and quoted beforehand.
+    A row with a non-finite float takes ``_cell`` for each of its cells."""
+    arrays = list(columns.values())
+    floats = [a.dtype.kind == "f" for a in arrays]
+    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    n = len(arrays[0]) if arrays else 0
+    matrix = np.column_stack([a for a, f in zip(arrays, floats) if f] or [np.empty((n, 0))])
+    others = [(j, [_quoted(_cell(v)) for v in a]) for j, (a, f) in enumerate(zip(arrays, floats))
+              if not f]
+    finite = np.isfinite(matrix).all(axis=1)
+    for i in range(n):
+        ok = finite[i]
+        row = matrix[i].tolist() if ok else [_cell(x) for x in matrix[i].tolist()]
+        for j, cells in others:  # ascending columns, so each lands at its own index
+            row.insert(j, cells[i])
+        yield template % tuple(row) if ok else ",".join(row) + "\n"
 
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -324,6 +379,48 @@ def _float_matrix(rows: list[list[str]]) -> np.ndarray:
     return out
 
 
+def _nonblank(lines):
+    """``lines``, raising ValueError at a blank one: loadtxt would skip it,
+    where the csv path rejects it."""
+    for line in lines:
+        if not line.strip():
+            raise ValueError("blank line")
+        yield line
+
+
+def _parse_body(fh, width: int) -> np.ndarray | None:
+    """The rest of ``fh`` as a (rows, width) float matrix by numpy's C parser,
+    bit for bit what ``float`` reads from each cell; None for an empty body
+    (on which loadtxt warns), a blank line, a column count other than
+    ``width``, an empty cell, or anything else it cannot parse."""
+    first = fh.readline()
+    if not first:
+        return None
+    try:
+        m = np.loadtxt(_nonblank(itertools.chain([first], fh)), dtype=np.float64,
+                       delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return m if m.shape[1] == width else None
+
+
+def _read_matrix(path) -> tuple[list[str], np.ndarray]:
+    """Header and float matrix of a numeric CSV; an empty cell reads as NaN.
+
+    numpy's C parser reads the body as it streams. A file it does not read
+    exactly as the csv path would (an empty cell, a quoted cell, a blank line,
+    a row of another width) goes to the csv path, which is as strict as ever
+    and names the file and line of a bad row.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh))
+        matrix = _parse_body(fh, len(header))
+    if matrix is not None:
+        return header, matrix
+    header, rows = _read_csv(path)
+    return header, _float_matrix(rows)
+
+
 # ---------------------------------------------------------------------------
 # Dataset interchange directory
 # ---------------------------------------------------------------------------
@@ -332,27 +429,28 @@ def save_dataset(ds: TabularDataset, out_dir) -> None:
     """Write the interchange directory; row order is shared across files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / FEATURES_FILE, ds.schema.column_names(), ds.X)
-    _write_csv(out / RESPONSES_CONT_FILE, list(ds.response_names), ds.Y_cont)
-    _write_csv(out / RESPONSES_BIN_FILE, list(ds.response_names), ds.Y_bin)
-    _write_csv(out / MASK_FILE, list(ds.response_names), ds.M.astype(np.int64))
-    _write_csv(out / BLOCKS_FILE, ["block"], [[b] for b in ds.blocks])
+    names = list(ds.response_names)
+    write_csv(out / FEATURES_FILE, ds.schema.column_names(), _matrix_lines(ds.X))
+    write_csv(out / RESPONSES_CONT_FILE, names, _matrix_lines(ds.Y_cont))
+    write_csv(out / RESPONSES_BIN_FILE, names, _matrix_lines(ds.Y_bin))
+    write_csv(out / MASK_FILE, names, _matrix_lines(ds.M.astype(np.int64), "%d"))
+    write_csv(out / BLOCKS_FILE, ["block"], (csv_line([_cell(b)]) for b in ds.blocks))
     ds.schema.save(out / SCHEMA_FILE)
 
 
 def load_dataset(in_dir) -> TabularDataset:
     src = Path(in_dir)
     schema = FeatureSchema.load(src / SCHEMA_FILE)
-    _, feat_rows = _read_csv(src / FEATURES_FILE)
-    cont_header, cont_rows = _read_csv(src / RESPONSES_CONT_FILE)
-    _, bin_rows = _read_csv(src / RESPONSES_BIN_FILE)
-    _, mask_rows = _read_csv(src / MASK_FILE)
+    _, X = _read_matrix(src / FEATURES_FILE)
+    cont_header, Y_cont = _read_matrix(src / RESPONSES_CONT_FILE)
+    _, Y_bin = _read_matrix(src / RESPONSES_BIN_FILE)
+    _, M = _read_matrix(src / MASK_FILE)
     _, block_rows = _read_csv(src / BLOCKS_FILE)
     return TabularDataset(
-        X=_float_matrix(feat_rows),
-        Y_cont=_float_matrix(cont_rows),
-        Y_bin=_float_matrix(bin_rows),
-        M=_float_matrix(mask_rows),
+        X=X,
+        Y_cont=Y_cont,
+        Y_bin=Y_bin,
+        M=M,
         blocks=np.array([r[0] for r in block_rows], dtype=object),
         schema=schema,
         response_names=tuple(cont_header),
@@ -372,10 +470,8 @@ RAW_META_FILE = "meta.json"
 def save_raw_table(raw: RawTable, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = list(raw.columns)
-    rows = zip(*(raw.columns[c] for c in names))
-    _write_csv(out / RAW_FILE, names, rows)
-    _write_csv(out / RAW_RESPONSES_FILE, list(raw.response_names), raw.responses)
+    write_csv(out / RAW_FILE, list(raw.columns), _raw_lines(raw.columns))
+    write_csv(out / RAW_RESPONSES_FILE, list(raw.response_names), _matrix_lines(raw.responses))
     jsonio.dump({n: float(q) for n, q in zip(raw.response_names, raw.loq)}, out / RAW_LOQ_FILE)
     raw.meta.save(out / RAW_META_FILE)
 
@@ -384,9 +480,14 @@ def load_raw_table(in_dir) -> RawTable:
     src = Path(in_dir)
     meta = RawMeta.load(src / RAW_META_FILE)
     header, rows = _read_csv(src / RAW_FILE)
-    numeric = set(meta.continuous_columns) | set(meta.day_of_year_columns)
-    numeric |= set(meta.temperature_lag_columns) | set(meta.dew_point_lag_columns)
-    numeric |= set(meta.precipitation_lag_columns)
+    numeric = {*meta.continuous_columns, *meta.day_of_year_columns, *meta.temperature_lag_columns,
+               *meta.dew_point_lag_columns, *meta.precipitation_lag_columns}
+    named = {meta.site_column, meta.year_column, *meta.categorical_columns,
+             *meta.soil_ph_columns, *numeric}
+    absent = sorted(named - set(header))
+    if absent:
+        raise ValueError(f"{src / RAW_FILE} has no column {absent[0]!r}, which "
+                         f"{RAW_META_FILE} names")
     columns: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
         cells = [row[j] for row in rows]
@@ -396,12 +497,15 @@ def load_raw_table(in_dir) -> RawTable:
             )
         else:
             columns[name] = np.array([c if c != "" else None for c in cells], dtype=object)
-    resp_header, resp_rows = _read_csv(src / RAW_RESPONSES_FILE)
+    resp_header, responses = _read_matrix(src / RAW_RESPONSES_FILE)
+    if len(responses) != len(rows):
+        raise ValueError(f"{src / RAW_RESPONSES_FILE} has {len(responses)} rows, "
+                         f"{RAW_FILE} has {len(rows)}")
     loq_map = jsonio.load(src / RAW_LOQ_FILE)
     return RawTable(
         columns=columns,
         meta=meta,
-        responses=_float_matrix(resp_rows),
+        responses=responses,
         response_names=tuple(resp_header),
         loq=np.array([float(loq_map[n]) for n in resp_header], dtype=np.float64),
     )

@@ -7,11 +7,13 @@ sorted, so a document's field order never reaches the bytes. A config setting
 declares its allowed values once, on its field (``setting``).
 """
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import numbers
+import os
 import types
 import typing
 from pathlib import Path
@@ -69,8 +71,35 @@ def dumps(obj, indent: int = 2) -> str:
     return _encode(obj, indent, 0) + "\n"
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A UTF-8 text file (no newline translation) that replaces ``path`` whole.
+
+    The text goes to ``.<name>.<random>.tmp`` in the target's directory, which
+    is renamed over ``path`` (``os.replace``) when the block ends. On any
+    exception the temporary file is removed and the exception re-raised, so a
+    failed or killed write leaves the previous file, or none, under ``path``.
+    There is no fsync: this guards against a dying process, not power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def dump(obj, path) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(dumps(obj))
 
 
 def load(path):

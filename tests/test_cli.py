@@ -1,11 +1,16 @@
 import base64
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import masktab
 from masktab import jsonio
 from masktab.cli import (
     EXIT_CONFIG,
@@ -321,6 +326,61 @@ class TestExitCodes:
         assert "data error" in err and "raw.csv line 4: 10 cells" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage, named", [
+        (lambda d: (d / "raw.csv").write_text(
+            (d / "raw.csv").read_text().replace("elevation", "height", 1)),
+         "raw.csv has no column 'elevation', which meta.json names"),
+        (lambda d: (d / "responses.csv").write_text(
+            "".join((d / "responses.csv").read_text().splitlines(keepends=True)[:-1])),
+         "responses.csv has 69 rows, raw.csv has 70"),
+    ], ids=["renamed-column", "short-responses"])
+    def test_raw_table_not_matching_itself_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                                         damage, named):
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        damage(raw_dir)
+        out = tmp_path / "dataset"
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["dataset/features.csv", "raw/raw.csv"])
+    def test_oversized_csv_field_is_data_error(self, pipeline_dir, tmp_path, capsys, name):
+        for part in ("raw", "dataset"):
+            shutil.copytree(pipeline_dir / part, tmp_path / part)
+        path = tmp_path / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "9" * 200_000 + lines[2]  # past the csv module's field size limit
+        path.write_text("".join(lines))
+        if name.startswith("raw/"):
+            argv = ["preprocess", "--in", str(tmp_path / "raw"), "--out", str(tmp_path / "out")]
+        else:
+            argv = ["train", "--dataset", str(tmp_path / "dataset"), "--split",
+                    str(tmp_path / "dataset" / "split.json"), "--model", "baseline",
+                    "--out", str(tmp_path / "ckpt.json")]
+        assert main(argv) == EXIT_DATA
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    def test_header_only_features_is_data_error_without_a_warning(self, pipeline_dir,
+                                                                  tmp_path):
+        ds_dir = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", ds_dir)
+        features = ds_dir / "features.csv"
+        features.write_text(features.read_text().splitlines(keepends=True)[0])
+        out = tmp_path / "ckpt.json"
+        run = subprocess.run(
+            [sys.executable, "-m", "masktab.cli", "train", "--dataset", str(ds_dir),
+             "--split", str(ds_dir / "split.json"), "--model", "baseline", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONWARNINGS": "always",
+                 "PYTHONPATH": str(Path(masktab.__file__).parents[1])},
+        )
+        assert run.returncode == EXIT_DATA
+        assert "data error" in run.stderr and "dataset" in run.stderr
+        assert "Warning" not in run.stderr and "loadtxt" not in run.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "importance"])
     def test_empty_predictor_cell_is_data_error(self, pipeline_dir, tmp_path, capsys, command):
         ds_dir = tmp_path / "dataset"
@@ -363,6 +423,30 @@ class TestExitCodes:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and str(out) in err
+
+    @pytest.mark.parametrize("command", ["preprocess", "evaluate", "report"])
+    def test_output_onto_a_directory_is_data_error_without_a_temp_file(
+            self, pipeline_dir, tmp_path, capsys, command):
+        if command == "preprocess":
+            (tmp_path / "dataset" / "features.csv").mkdir(parents=True)
+            argv = ["preprocess", "--in", str(pipeline_dir / "raw"),
+                    "--out", str(tmp_path / "dataset")]
+            blocked = tmp_path / "dataset"
+        elif command == "evaluate":
+            (tmp_path / "eval.json").mkdir()
+            ds_dir = pipeline_dir / "dataset"
+            argv = ["evaluate", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+                    "--ckpt", str(pipeline_dir / "ckpt_baseline.json"),
+                    "--out", str(tmp_path / "eval.json")]
+            blocked = tmp_path
+        else:
+            shutil.copy(pipeline_dir / "eval_baseline.json", tmp_path)
+            (tmp_path / "report.csv").mkdir()
+            argv = ["report", str(tmp_path)]
+            blocked = tmp_path
+        assert main(argv) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not list(blocked.glob(".*.tmp"))
 
     def test_invalid_synth_profile_is_config_error(self, tmp_path):
         cfg = write_json(

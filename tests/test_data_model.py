@@ -1,12 +1,30 @@
+import builtins
+import csv
+import errno
+import io
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset
+from masktab import jsonio
 from masktab.data_model import (
+    RawMeta,
+    RawTable,
     SplitAssignment,
+    _float_matrix,
+    _matrix_lines,
+    _parse_body,
+    _raw_lines,
+    _read_csv,
+    _read_matrix,
     load_dataset,
+    load_raw_table,
     save_dataset,
+    save_raw_table,
     validate,
+    write_csv,
 )
 
 
@@ -110,3 +128,211 @@ class TestSplitAssignment:
     def test_fit_rows_excludes_validation(self):
         split = SplitAssignment(train_rows=[0, 1, 2, 3], test_rows=[4], val_rows=[1, 3])
         assert split.fit_rows.tolist() == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# The CSV writers against the per-cell writer they replace
+# ---------------------------------------------------------------------------
+
+def _oracle_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        if math.isnan(value):
+            return ""
+        return jsonio.format_float(float(value))
+    return str(value)
+
+
+def _oracle_csv(header, rows) -> bytes:
+    """What one csv.writer row per row, each cell through _oracle_cell, writes."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_oracle_cell(x) for x in row])
+    return fh.getvalue().encode("utf-8")
+
+
+EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -2 / 3,
+               1.0, 2.0, -7.0, 1e16, 1e17, 123456789.0, 0.1, 1e-300]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestCsvOracle:
+    @pytest.mark.parametrize("with_nan", [True, False], ids=["nan", "no-nan"])
+    @pytest.mark.parametrize("shape", [(19, 1), (1, 19), (7, 11)])
+    def test_float_matrix_matches_oracle_and_reloads_bit_identical(self, tmp_path, shape,
+                                                                   with_nan):
+        values = [v for v in EDGE_VALUES if with_nan or not math.isnan(v)]
+        m = np.random.default_rng(3).choice(np.array(values), size=shape)
+        m.flat[:len(values)] = values[:m.size]
+        header = [f"c{j}" for j in range(shape[1])]
+        path = tmp_path / "m.csv"
+        write_csv(path, header, _matrix_lines(m))
+        assert path.read_bytes() == _oracle_csv(header, m)
+        csv_header, rows = _read_csv(path)
+        assert np.array_equal(_bits(_float_matrix(rows)), _bits(m))
+        got_header, back = _read_matrix(path)
+        assert got_header == csv_header == header
+        assert np.array_equal(_bits(back), _bits(m))
+        with open(path, encoding="utf-8", newline="") as fh:
+            next(fh)
+            assert (_parse_body(fh, shape[1]) is None) == with_nan  # NaN: an empty cell
+
+    def test_lone_empty_cell_is_quoted_as_csv_writes_it(self, tmp_path):
+        m = np.array([[math.nan], [1.0], [math.nan]])
+        write_csv(tmp_path / "m.csv", ["only"], _matrix_lines(m))
+        assert (tmp_path / "m.csv").read_bytes() == _oracle_csv(["only"], m) == b'only\n""\n1\n""\n'
+        assert np.array_equal(_bits(_read_matrix(tmp_path / "m.csv")[1]), _bits(m))
+
+    def test_int_mask_matches_oracle(self, tmp_path):
+        mask = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int64)
+        write_csv(tmp_path / "mask.csv", ["a", "b", "c"], _matrix_lines(mask, "%d"))
+        assert (tmp_path / "mask.csv").read_bytes() == _oracle_csv(["a", "b", "c"], mask)
+        assert np.array_equal(_read_matrix(tmp_path / "mask.csv")[1], mask)
+
+    def test_dataset_files_match_oracle(self, tmp_path):
+        ds = make_dataset(n=30, seed=2)
+        ds.X[0, :3] = [1 / 3, -0.0, 5e-324]
+        ds.X[1, :3] = [2.0, 1.7976931348623157e308, -1e-300]
+        save_dataset(ds, tmp_path)
+        names = list(ds.response_names)
+        for file, header, rows in [
+            ("features.csv", ds.schema.column_names(), ds.X),
+            ("responses_cont.csv", names, ds.Y_cont),
+            ("responses_bin.csv", names, ds.Y_bin),
+            ("mask.csv", names, ds.M.astype(np.int64)),
+            ("blocks.csv", ["block"], [[b] for b in ds.blocks]),
+        ]:
+            assert (tmp_path / file).read_bytes() == _oracle_csv(header, rows), file
+        back = load_dataset(tmp_path)
+        for a, b in [(ds.X, back.X), (ds.Y_cont, back.Y_cont), (ds.Y_bin, back.Y_bin),
+                     (ds.M, back.M)]:
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_raw_table_matches_oracle_and_reloads(self, tmp_path):
+        cats = np.array(["plain", None, "a,b", 'say "hi"', "two\nlines", "", "nan",
+                         "inf"], dtype=object)
+        n = len(cats)
+        floats = np.array([1 / 3, math.nan, -0.0, math.inf, 5e-324, -math.inf, 2.0,
+                           1.7976931348623157e308])
+        raw = RawTable(
+            columns={
+                "site": np.array([f"s{i}" for i in range(n)], dtype=object),
+                "year": np.array(["2022"] * n, dtype=object),
+                "moisture": floats,
+                "crop": cats,
+                "rate": floats[::-1].copy(),
+            },
+            meta=RawMeta(site_column="site", year_column="year", categorical_columns=("crop",),
+                         continuous_columns=("moisture", "rate")),
+            responses=np.array([[v, 1.0] for v in floats]),
+            response_names=("tox_a", "tox_b"),
+            loq=np.array([0.5, 1.0]),
+        )
+        save_raw_table(raw, tmp_path)
+        names = list(raw.columns)
+        assert (tmp_path / "raw.csv").read_bytes() == _oracle_csv(
+            names, zip(*(raw.columns[c] for c in names)))
+        assert (tmp_path / "responses.csv").read_bytes() == _oracle_csv(
+            ["tox_a", "tox_b"], raw.responses)
+        back = load_raw_table(tmp_path)
+        assert list(back.columns["crop"]) == [None if c in (None, "") else c for c in cats]
+        for name in ("moisture", "rate"):
+            assert np.array_equal(_bits(back.columns[name]), _bits(raw.columns[name]))
+        assert np.array_equal(_bits(back.responses), _bits(raw.responses))
+
+    @pytest.mark.parametrize("column", [
+        np.array(["x", "", None, "y,z"], dtype=object),
+        np.array([1.5, math.nan, -math.inf, 0.0]),
+    ], ids=["categorical", "float"])
+    def test_one_column_raw_table_matches_oracle(self, tmp_path, column):
+        write_csv(tmp_path / "raw.csv", ["only"], _raw_lines({"only": column}))
+        assert (tmp_path / "raw.csv").read_bytes() == _oracle_csv(["only"], [[v] for v in column])
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+class _DiskFullFile:
+    """A text file that takes ``budget`` characters, then fails as a full disk does."""
+
+    def __init__(self, fh, budget: int):
+        self._fh, self._left = fh, budget
+
+    def write(self, text: str) -> int:
+        if len(text) > self._left:
+            self._fh.write(text[:self._left])
+            self._fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._left -= len(text)
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.fixture
+def disk_full_halfway(monkeypatch):
+    """Make every file opened for writing fail after ``budget[0]`` characters."""
+    budget, real_open = [0], builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _DiskFullFile(fh, budget[0]) if mode[0] in "wxa" else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+    return budget
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("artifact", ["csv", "json"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, disk_full_halfway,
+                                                  artifact):
+        old, new = make_dataset(n=40, seed=1), make_dataset(n=40, seed=2)
+        if artifact == "csv":
+            target = tmp_path / "features.csv"
+            def write(ds): return save_dataset(ds, tmp_path)
+        else:
+            target = tmp_path / "doc.json"
+            def write(ds): return jsonio.dump({"X": ds.X}, target)
+        disk_full_halfway[0] = 1 << 30
+        write(old)
+        before = target.read_bytes()
+        disk_full_halfway[0] = len(before) // 2
+        with pytest.raises(OSError, match="No space left"):
+            write(new)
+        assert target.read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_write_replaces_the_whole_file(self, tmp_path):
+        target = tmp_path / "doc.json"
+        target.write_text("x" * 10_000)
+        jsonio.dump({"a": 1}, target)
+        assert target.read_text() == '{\n  "a": 1\n}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+    def test_rename_onto_a_directory_fails_without_a_temp_file(self, tmp_path):
+        (tmp_path / "doc.json").mkdir()
+        with pytest.raises(OSError):
+            jsonio.dump({"a": 1}, tmp_path / "doc.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+    def test_error_names_the_target_not_the_temp_file(self, tmp_path):
+        target = tmp_path / "missing" / "doc.json"
+        with pytest.raises(FileNotFoundError) as info:
+            jsonio.dump({"a": 1}, target)
+        assert info.value.filename == str(target)
