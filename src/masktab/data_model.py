@@ -296,9 +296,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-# The CSV line, newline included, of a row of string cells: writerow returns
-# what the file's write returns, and this "file" writes nothing and returns the line.
-csv_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+# writerow returns what the file's write returns, and this "file" writes
+# nothing and returns the line. The csv module quotes a cell holding a
+# character of the line terminator, so "\r\n" makes it quote both \r and \n.
+_crlf_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\r\n").writerow
+
+
+def csv_line(cells) -> str:
+    """The CSV line of a row of string cells, ending in one newline."""
+    return _crlf_line(cells)[:-2] + "\n"
 
 
 def _quoted(cell: str) -> str:

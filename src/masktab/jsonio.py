@@ -116,12 +116,10 @@ def loads(text: str):
 # ---------------------------------------------------------------------------
 
 def _plain(obj):
-    """Plain JSON data for a document value: dataclasses and named tuples
-    become objects keyed by field, tuples and arrays become lists."""
+    """Plain JSON data for a document value: dataclasses become objects
+    keyed by field, tuples and arrays become lists."""
     if dataclasses.is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if hasattr(obj, "_asdict"):
-        return {k: _plain(v) for k, v in obj._asdict().items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, dict):
@@ -172,8 +170,7 @@ def _check_declared(doc) -> None:
 @functools.cache
 def _field_types(cls) -> dict:
     hints = typing.get_type_hints(cls)
-    names = cls._fields if hasattr(cls, "_fields") else [f.name for f in dataclasses.fields(cls)]
-    return {name: hints[name] for name in names}
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def _object(value) -> dict:
@@ -194,7 +191,7 @@ def _within(path: str, tp, value):
 
 
 def _decode(cls, d):
-    """Build a dataclass or named tuple ``cls`` from its JSON object.
+    """Build a dataclass ``cls`` from its JSON object.
 
     Each value is converted by its field's type hint; a missing key takes the
     field's default. A key that is not a field is rejected, except
@@ -218,7 +215,7 @@ def _decode_value(tp, value):
             return None
         (tp,) = [a for a in args if a is not type(None)]
         return _decode_value(tp, value)
-    if dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"):
+    if dataclasses.is_dataclass(tp):
         return _decode(tp, value)
     if origin in (tuple, list):
         if not isinstance(value, (list, tuple)):
@@ -245,9 +242,9 @@ def _decode_value(tp, value):
 class Document:
     """Mixin that gives a dataclass ``to_dict``/``from_dict``/``save``/``load``.
 
-    Fields are written by name (nested dataclasses and named tuples as
-    objects, tuples and arrays as lists) and read back by their type hints;
-    reading rejects unknown keys. A top-level document writes
+    Fields are written by name (nested dataclasses as objects, tuples and
+    arrays as lists) and read back by their type hints; reading rejects
+    unknown keys. A top-level document writes
     ``"version": VERSION``; a nested one sets ``VERSION = None`` and writes
     none. Every construction checks the values each field declares with
     ``setting``, then the document's own ``check``.

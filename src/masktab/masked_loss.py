@@ -25,7 +25,6 @@ class MaskedBatch:
     y: np.ndarray
     y_hat: np.ndarray
     m: np.ndarray
-    epsilon: float = EPSILON
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
@@ -45,7 +44,7 @@ def _mse_terms(batch: MaskedBatch):
     observed = batch.m != 0.0
     diff = batch.y_hat - np.where(observed, batch.y, 0.0)
     np.copyto(diff, 0.0, where=~observed)
-    denom = batch.m.sum(axis=1) + batch.epsilon
+    denom = batch.m.sum(axis=1) + EPSILON
     per_sample = np.square(diff).sum(axis=-1) / denom
     return per_sample.sum(axis=-1) / batch.y.shape[0], diff, denom
 
@@ -60,12 +59,11 @@ def _bce_terms(batch: MaskedBatch):
     if bad.any():
         i, k = np.argwhere(bad)[0]
         raise ValueError(f"observed binary target not in {{0,1}} at ({i},{k}): {batch.y[i, k]!r}")
-    eps = batch.epsilon
-    p = np.clip(batch.y_hat, eps, 1.0 - eps)
+    p = np.clip(batch.y_hat, EPSILON, 1.0 - EPSILON)
     # one log per cell: y is 0 or 1, and both logs are finite and negative
     # inside the clip, so this equals y*log(p) + (1-y)*log(1-p) bit for bit
     ll = np.log(np.where(y == 1.0, p, 1.0 - p))
-    denom = batch.m.sum(axis=1) + eps
+    denom = batch.m.sum(axis=1) + EPSILON
     per_sample = -(np.where(observed, ll, 0.0)).sum(axis=-1) / denom
     return per_sample.sum(axis=-1) / batch.y.shape[0], y, p, denom
 
@@ -114,8 +112,7 @@ def masked_bce(batch: MaskedBatch) -> tuple[float, np.ndarray]:
     """
     _one_prediction(batch)
     loss, y, p, denom = _bce_terms(batch)
-    eps = batch.epsilon
-    inside_clip = (batch.y_hat > eps) & (batch.y_hat < 1.0 - eps)
+    inside_clip = (batch.y_hat > EPSILON) & (batch.y_hat < 1.0 - EPSILON)
     dll = y / p - (1.0 - y) / (1.0 - p)
     observed = batch.m != 0.0
     grad = np.where(observed & inside_clip, -dll / denom[:, None], 0.0) / batch.y.shape[0]

@@ -11,6 +11,8 @@ explicit random generator.
 
 import base64
 import math
+import types
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +46,7 @@ class LayerSpec(jsonio.Document):
     dropout_rate: float = setting("[0, 1)", 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
     """Parameters of one layer: W is (out_dim, in_dim), b is (out_dim,)."""
 
@@ -52,59 +54,44 @@ class DenseLayer:
     b: np.ndarray
     spec: LayerSpec
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(W=self.W.copy(), b=self.b.copy(), spec=self.spec)
 
-
-@dataclass
+@dataclass(frozen=True, init=False, eq=False)
 class NetworkParams:
     """Backbone layers plus named head stacks; the mutable state of training.
 
-    The weights live in one float64 vector, ``flat``, in ``named_layers()``
-    order with each layer's W (row-major) followed by its b. The first use of
-    ``flat`` (by the optimiser, copies or checks) copies the layers' values
-    into a new vector and rebinds their W and b to views of it; from then on
-    the layers and the vector share memory. The backbone comes first, so
-    ``flat[backbone_size:]`` holds exactly the heads.
+    Construction copies every given layer into one float64 vector, ``flat``,
+    in ``named_layers()`` order with each layer's W (row-major) followed by
+    its b, and the network holds its own layers, whose W and b are views of
+    that vector. The structure is fixed from then on: the stacks are tuples,
+    ``heads`` is a read-only mapping and a layer's arrays cannot be rebound,
+    so the layers and ``flat`` always share memory. The backbone comes first,
+    so ``flat[backbone_size:]`` holds exactly the heads.
     """
 
-    backbone: list[DenseLayer]
-    heads: dict[str, list[DenseLayer]]
+    backbone: tuple[DenseLayer, ...]
+    heads: Mapping[str, tuple[DenseLayer, ...]]
+    flat: np.ndarray
 
-    # set by _bind: the vector, and the (W, b) views it handed out
-    _flat = np.empty(0)
-    _views = ()
-
-    def _layers(self) -> list[DenseLayer]:
-        return self.backbone + [l for h in sorted(self.heads) for l in self.heads[h]]
-
-    def _bind(self, flat: np.ndarray, fill: bool) -> None:
-        """Make every W and b a view into ``flat``, copying values in if ``fill``."""
+    def __init__(self, backbone: Sequence[DenseLayer],
+                 heads: Mapping[str, Sequence[DenseLayer]]):
+        layers = [*backbone, *(l for h in sorted(heads) for l in heads[h])]
+        flat = np.empty(sum(l.W.size + l.b.size for l in layers))
         pos = 0
-        for layer in self._layers():
-            for attr in ("W", "b"):
-                old = getattr(layer, attr)
-                view = flat[pos : pos + old.size].reshape(old.shape)
-                if fill:
-                    view[...] = old
-                setattr(layer, attr, view)
-                pos += old.size
-        self._flat = flat
-        self._views = tuple((l.W, l.b) for l in self._layers())
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Every weight as one vector; writing to it writes the layers.
+        def own(layer: DenseLayer) -> DenseLayer:
+            nonlocal pos
+            views = []
+            for a in (layer.W, layer.b):
+                view = flat[pos : pos + a.size].reshape(a.shape)
+                view[...] = a
+                views.append(view)
+                pos += a.size
+            return DenseLayer(*views, layer.spec)
 
-        Layers or arrays replaced since the last use are packed into a new
-        vector here, so the vector never goes stale.
-        """
-        layers = self._layers()
-        if len(layers) != len(self._views) or any(
-            l.W is not W or l.b is not b for l, (W, b) in zip(layers, self._views)
-        ):
-            self._bind(np.empty(sum(l.W.size + l.b.size for l in layers)), fill=True)
-        return self._flat
+        object.__setattr__(self, "backbone", tuple(own(l) for l in backbone))
+        object.__setattr__(self, "heads", types.MappingProxyType(
+            {h: tuple(own(l) for l in heads[h]) for h in sorted(heads)}))
+        object.__setattr__(self, "flat", flat)
 
     @property
     def backbone_size(self) -> int:
@@ -124,22 +111,15 @@ class NetworkParams:
         return out
 
     def n_parameters(self) -> int:
-        return sum(l.W.size + l.b.size for _, l in self.named_layers())
-
-    def _with_flat(self, flat: np.ndarray) -> "NetworkParams":
-        """Same layers and specs, weights viewing ``flat`` (not copied)."""
-        twin = NetworkParams(
-            backbone=[DenseLayer(l.W, l.b, l.spec) for l in self.backbone],
-            heads={h: [DenseLayer(l.W, l.b, l.spec) for l in ls] for h, ls in self.heads.items()},
-        )
-        twin._bind(flat, fill=False)
-        return twin
+        return self.flat.size
 
     def copy(self) -> "NetworkParams":
-        return self._with_flat(self.flat.copy())
+        return NetworkParams(self.backbone, self.heads)
 
     def zeros_like(self) -> "NetworkParams":
-        return self._with_flat(np.zeros_like(self.flat))
+        twin = self.copy()
+        twin.flat[...] = 0.0
+        return twin
 
 
 def glorot_uniform(spec: LayerSpec, rng: np.random.Generator) -> DenseLayer:
@@ -199,7 +179,7 @@ class ForwardCache:
 
 
 def _run_stack(
-    layers: list[DenseLayer],
+    layers: Sequence[DenseLayer],
     x: np.ndarray,
     mode: str,
     rng: np.random.Generator | None,
@@ -264,10 +244,10 @@ def forward(
 
 
 def _backprop_stack(
-    layers: list[DenseLayer],
+    layers: Sequence[DenseLayer],
     caches: list[_LayerCache],
     delta: np.ndarray,
-    grads: list[DenseLayer],
+    grads: Sequence[DenseLayer],
     input_grad: bool,
 ) -> np.ndarray | None:
     """Propagate dL/d(stack output) back through the stack, writing each
@@ -450,7 +430,7 @@ def _decode_array(s: str, shape: tuple[int, ...], name: str) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"checkpoint array {name} holds {len(raw)} bytes, "
                          f"shape {shape} needs {8 * math.prod(shape)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)  # NetworkParams copies it
 
 
 def save_checkpoint(params: NetworkParams, path, extra: dict | None = None) -> None:

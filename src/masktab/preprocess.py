@@ -9,7 +9,6 @@ statistics come from training rows alone and are applied unchanged elsewhere.
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,11 +126,15 @@ class PreprocessConfig(jsonio.Document):
     val_fraction_of_train: float = setting("[0, 1)", 0.2)
 
 
-class NormStats(NamedTuple):
+@dataclass(frozen=True)
+class NormStats:
     """Training-row mean and population standard deviation of one column."""
 
     mean: float
     stdev: float
+
+    def __iter__(self):  # unpacks as (mean, stdev)
+        return iter((self.mean, self.stdev))
 
 
 @dataclass

@@ -7,6 +7,7 @@ fixed batch composition (shuffling is off by default to preserve the block
 structure of the data), and a single generator driving dropout.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,15 +198,19 @@ def _task_heads(in_dim: int, n_responses: int) -> dict[str, list[LayerSpec]]:
     }
 
 
+def _relu_stack(dims: tuple[int, ...], dropout: float) -> list[LayerSpec]:
+    """ReLU layers with dropout from ``dims[0]`` inputs through each later width."""
+    return [LayerSpec(in_dim=i, out_dim=o, activation="relu", dropout_rate=dropout)
+            for i, o in zip(dims, dims[1:])]
+
+
 def _supervised_network(
     input_dim: int, n_responses: int, cfg: TrainConfig, rng: np.random.Generator
 ) -> NetworkParams:
-    dims = (input_dim,) + tuple(cfg.hidden_dims)
-    backbone = [
-        LayerSpec(in_dim=dims[i], out_dim=dims[i + 1], activation="relu", dropout_rate=cfg.dropout)
-        for i in range(len(cfg.hidden_dims))
-    ]
-    return nn_core.init_network(backbone, _task_heads(dims[-1], n_responses), rng)
+    dims = (input_dim, *cfg.hidden_dims)
+    return nn_core.init_network(
+        _relu_stack(dims, cfg.dropout), _task_heads(dims[-1], n_responses), rng
+    )
 
 
 def train_baseline(
@@ -222,7 +227,7 @@ def pretrain_autoencoder(
     cfg: AEConfig,
     seed: int = 0,
     blocks: np.ndarray | None = None,
-) -> tuple[list[DenseLayer], TrainHistory]:
+) -> tuple[tuple[DenseLayer, ...], TrainHistory]:
     """Unsupervised reconstruction pre-training; returns the encoder only.
 
     The decoder mirrors the encoder (linear output) and is discarded. Early
@@ -246,22 +251,9 @@ def pretrain_autoencoder(
     if fit_rows.size == 0 or val_rows.size == 0:
         raise ValueError("autoencoder holdout left an empty partition")
 
-    dims = (p,) + tuple(cfg.encoder_dims)
-    encoder = [
-        LayerSpec(in_dim=dims[i], out_dim=dims[i + 1], activation="relu", dropout_rate=cfg.dropout)
-        for i in range(len(cfg.encoder_dims))
-    ]
-    decoder_dims = tuple(reversed(dims))
-    decoder = [
-        LayerSpec(
-            in_dim=decoder_dims[i],
-            out_dim=decoder_dims[i + 1],
-            activation="relu" if i + 1 < len(decoder_dims) - 1 else "linear",
-            dropout_rate=cfg.dropout if i + 1 < len(decoder_dims) - 1 else 0.0,
-        )
-        for i in range(len(decoder_dims) - 1)
-    ]
-    params = nn_core.init_network(encoder, {"recon": decoder}, rng)
+    dims = (p, *cfg.encoder_dims)
+    decoder = _relu_stack(dims[:0:-1], cfg.dropout) + [LayerSpec(dims[1], p, "linear")]
+    params = nn_core.init_network(_relu_stack(dims, cfg.dropout), {"recon": decoder}, rng)
 
     X_fit, X_val = X[fit_rows], X[val_rows]
 
@@ -284,7 +276,7 @@ def pretrain_autoencoder(
 
 
 def finetune(
-    encoder: list[DenseLayer],
+    encoder: Sequence[DenseLayer],
     ds: TabularDataset,
     split: SplitAssignment,
     cfg: TrainConfig,
@@ -301,13 +293,13 @@ def finetune(
         )
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     fresh = nn_core.init_network([], _task_heads(encoder[-1].spec.out_dim, ds.n_responses), rng)
-    params = NetworkParams(backbone=[l.copy() for l in encoder], heads=fresh.heads)
+    params = NetworkParams(backbone=encoder, heads=fresh.heads)  # copies the encoder
     return _train_supervised(params, ds, split, cfg, rng, freeze_backbone=frozen)
 
 
 def pretrain_encoder(
     ds: TabularDataset, split: SplitAssignment, cfg: TrainConfig
-) -> tuple[list[DenseLayer], TrainHistory]:
+) -> tuple[tuple[DenseLayer, ...], TrainHistory]:
     """The pretrained kinds' encoder: ``cfg.ae`` pre-training under ``cfg.seed``
     on the split's train rows (on every row with ``include_test_rows``)."""
     ae_rows = (
@@ -323,7 +315,7 @@ def train_model(
     split: SplitAssignment,
     cfg: TrainConfig,
     kind: str,
-    encoder: list[DenseLayer] | None = None,
+    encoder: Sequence[DenseLayer] | None = None,
 ) -> tuple[NetworkParams, TrainHistory]:
     """One entry point for the three supported model kinds.
 

@@ -14,7 +14,8 @@ first layer's pre-activation on the unpermuted rows is computed once per
 task and shared by every group; a permutation of the group's columns changes
 it by a rank-|group| update, written into a fresh array that the activation
 then overwrites, and the rest of the chain runs from there in one forward.
-The repeats' losses are scored together as one stack.
+The repeats' losses are scored together as one stack. The baseline loss
+takes the same path from the unpermuted pre-activation.
 """
 
 import hashlib
@@ -52,23 +53,14 @@ def _task_losses(out: np.ndarray, ds: TabularDataset, rows, task: str) -> np.nda
     return masked_loss(kind, MaskedBatch(y=y, y_hat=out, m=ds.M[rows]))
 
 
-def _task_chain(params: NetworkParams, task: str) -> tuple[DenseLayer, NetworkParams]:
-    """The first layer of the task's chain, and the rest of the chain as a
-    network with only the task's head. With no backbone the head's first
-    layer comes first."""
-    head, _ = _task_head(task)
+def _task_chain(params: NetworkParams, head: str) -> tuple[DenseLayer, NetworkParams]:
+    """The first layer of the head's chain, and the rest of the chain as a
+    network with only that head. With no backbone the head's first layer
+    comes first."""
     layers = params.heads[head]
     if params.backbone:
         return params.backbone[0], NetworkParams(params.backbone[1:], {head: layers})
-    return layers[0], NetworkParams([], {head: layers[1:]})
-
-
-def _task_loss(params: NetworkParams, X: np.ndarray, ds: TabularDataset, rows, task: str) -> float:
-    """The task's masked loss on unpermuted rows, from one forward pass."""
-    head, _ = _task_head(task)
-    chain = NetworkParams(params.backbone, {head: params.heads[head]})
-    out, _ = forward(chain, X, mode="infer")
-    return float(_task_losses(out[head], ds, rows, task))
+    return layers[0], NetworkParams((), {head: layers[1:]})
 
 
 def per_column_groups(schema: FeatureSchema) -> dict[str, list[int]]:
@@ -152,13 +144,19 @@ def _task_rows(params: NetworkParams, ds: TabularDataset, rows, task: str,
     if rows.size == 0:
         raise ValueError("empty row set")
     X = ds.X[rows]
-    if baseline_loss is None:
-        baseline_loss = _task_loss(params, X, ds, rows, task)
-    first, rest = _task_chain(params, task)
+    head, _ = _task_head(task)
+    first, rest = _task_chain(params, head)
+    if X.shape[1] != first.spec.in_dim:
+        raise ValueError(f"shape mismatch: input has {X.shape[1]} columns, "
+                         f"layer expects {first.spec.in_dim}")
     # divergence surfaces as forward's non-finite check, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         Z0 = X @ first.W.T + first.b
-    width = params.heads[_task_head(task)[0]][-1].spec.out_dim
+    if baseline_loss is None:  # the repeats' path, on the unpermuted rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, _ = forward(rest, activate(Z0.copy(), first.spec.activation, overwrite=True))
+        baseline_loss = _task_losses(out[head], ds, rows, task)
+    width = params.heads[head][-1].spec.out_dim
     return _TaskRows(task, ds, rows, X, first, rest, Z0, width, float(baseline_loss))
 
 

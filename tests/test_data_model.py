@@ -247,6 +247,28 @@ class TestCsvOracle:
             assert np.array_equal(_bits(back.columns[name]), _bits(raw.columns[name]))
         assert np.array_equal(_bits(back.responses), _bits(raw.responses))
 
+    def test_carriage_return_category_is_quoted_and_reads_back(self, tmp_path):
+        cats = np.array(["c\rr", "a\r\nb", "plain", "\r"], dtype=object)
+        n = len(cats)
+        raw = RawTable(
+            columns={
+                "site": np.array([f"s{i}" for i in range(n)], dtype=object),
+                "year": np.array(["2022"] * n, dtype=object),
+                "crop": cats,
+                "moisture": np.arange(n, dtype=np.float64),
+            },
+            meta=RawMeta(site_column="site", year_column="year", categorical_columns=("crop",),
+                         continuous_columns=("moisture",)),
+            responses=np.ones((n, 1)),
+            response_names=("tox_a",),
+            loq=np.array([0.5]),
+        )
+        save_raw_table(raw, tmp_path)
+        back = load_raw_table(tmp_path)
+        assert list(back.columns["crop"]) == list(cats)
+        assert list(back.columns["site"]) == list(raw.columns["site"])
+        assert np.array_equal(back.columns["moisture"], raw.columns["moisture"])
+
     @pytest.mark.parametrize("column", [
         np.array(["x", "", None, "y,z"], dtype=object),
         np.array([1.5, math.nan, -math.inf, 0.0]),

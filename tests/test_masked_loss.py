@@ -241,7 +241,7 @@ class TestStackedLoss:
 def oracle_mse_terms(batch):
     observed = batch.m != 0.0
     diff = np.where(observed, batch.y_hat - np.where(observed, batch.y, 0.0), 0.0)
-    denom = batch.m.sum(axis=1) + batch.epsilon
+    denom = batch.m.sum(axis=1) + EPSILON
     per_sample = (diff * diff).sum(axis=-1) / denom
     return per_sample.sum(axis=-1) / batch.y.shape[0], diff, denom
 
@@ -249,7 +249,7 @@ def oracle_mse_terms(batch):
 def oracle_bce_terms(batch):
     observed = batch.m != 0.0
     y = np.where(observed, batch.y, 0.0)
-    eps = batch.epsilon
+    eps = EPSILON
     p = np.clip(batch.y_hat, eps, 1.0 - eps)
     ll = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
     denom = batch.m.sum(axis=1) + eps
@@ -297,3 +297,49 @@ class TestLossTermsMatchOracle:
             for g, w in zip(got, want):
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
             assert batch.y_hat.tobytes() == y_hat.tobytes()  # the input is not written
+
+
+# ---------------------------------------------------------------------------
+# Masked targets are inert whatever they hold: NaN above, and here the
+# infinities, the extremes and a signed zero. Seeds and cases are fixed.
+# ---------------------------------------------------------------------------
+
+MASKED_JUNK = (math.inf, -math.inf, 1e308, -1e308, -0.0)
+
+
+class TestMaskedCellsAreInert:
+    @staticmethod
+    def batch(kind, shape, seed, fill):
+        """Targets whose masked cells hold ``fill``; everything else depends
+        on the seed alone."""
+        rng = np.random.default_rng(seed)
+        n, k = shape[-2:]
+        m = (rng.random((n, k)) > 0.4).astype(float)
+        m[0] = 0.0  # a fully masked sample
+        if kind == "mse":
+            y, y_hat = rng.standard_normal((n, k)), rng.standard_normal(shape)
+        else:
+            y, y_hat = (rng.random((n, k)) > 0.5).astype(float), rng.random(shape)
+        y[m == 0] = fill
+        return MaskedBatch(y=y, y_hat=y_hat, m=m)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fill", MASKED_JUNK)
+    @pytest.mark.parametrize("kind, single", [("mse", masked_mse), ("bce", masked_bce)])
+    def test_loss_and_gradient_keep_their_bits(self, kind, single, fill):
+        for seed in range(3):
+            want_loss, want_grad = single(self.batch(kind, (13, 5), seed, 0.0))
+            batch = self.batch(kind, (13, 5), seed, fill)
+            loss, grad = single(batch)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+            assert not grad[batch.m == 0].any()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fill", MASKED_JUNK)
+    @pytest.mark.parametrize("kind", ["mse", "bce"])
+    def test_stacked_losses_keep_their_bits(self, kind, fill):
+        for seed in range(3):
+            want = masked_loss(kind, self.batch(kind, (7, 13, 5), seed, 0.0))
+            got = masked_loss(kind, self.batch(kind, (7, 13, 5), seed, fill))
+            assert got.shape == (7,) and got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -65,10 +66,8 @@ class TestForward:
         # single linear layer with dropout on its output
         spec = LayerSpec(1, 1, activation="linear", dropout_rate=0.4)
         layer = DenseLayer(W=np.array([[1.0]]), b=np.array([0.0]), spec=spec)
-        params = NetworkParams(backbone=[layer], heads={"out": [LayerSpec(1, 1, "linear")]})
-        params.heads["out"] = [
-            DenseLayer(W=np.array([[1.0]]), b=np.array([0.0]), spec=LayerSpec(1, 1, "linear"))
-        ]
+        head = DenseLayer(W=np.array([[1.0]]), b=np.array([0.0]), spec=LayerSpec(1, 1, "linear"))
+        params = NetworkParams(backbone=[layer], heads={"out": [head]})
         rng = np.random.default_rng(3)
         x = np.ones((10_000, 1))
         out, _ = forward(params, x, mode="train", rng=rng)
@@ -496,14 +495,22 @@ class TestFlatStorage:
         assert params.backbone[0].W[0, 0] == 42.0
         assert params.backbone_size == sum(l.W.size + l.b.size for l in params.backbone)
 
-    def test_replaced_layer_is_packed_again(self):
+    def test_structure_is_fixed_and_construction_copies(self):
         params = small_network(seed=2)
-        old_flat = params.flat
-        new = DenseLayer(W=np.full((2, 3), 0.5), b=np.ones(2), spec=LayerSpec(3, 2, "relu"))
-        params.heads["cont"] = [new]
-        flat = params.flat
-        assert flat is not old_flat and np.array_equal(flat, flatten(params))
-        assert np.shares_memory(params.heads["cont"][0].W, flat)
+        layer = params.heads["cont"][0]
+        with pytest.raises(TypeError):
+            params.heads["cont"] = (layer,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.W = np.zeros_like(layer.W)
+        # vimp's case: a network built from another network's layers
+        before = params.flat.copy()
+        part = NetworkParams(params.backbone[1:], {"cont": params.heads["cont"]})
+        part.flat[:] = np.nan
+        assert np.array_equal(params.flat, before)
+        assert np.array_equal(flatten(params), before)
+        assert not np.shares_memory(part.flat, params.flat)
+        for _, own in part.named_layers():
+            assert np.shares_memory(own.W, part.flat) and np.shares_memory(own.b, part.flat)
 
     def test_hand_built_headless_backbone_trains(self):
         rng = np.random.default_rng(0)
@@ -519,7 +526,9 @@ class TestFlatStorage:
             losses.append(float((diff * diff).mean()))
             adam_step(params, backward(params, cache, {"out": 2.0 * diff / diff.size}), state)
         assert losses[-1] < 0.01 * losses[0]
-        assert params.heads["out"][0] is layer
+        own = params.heads["out"][0]  # the network trained its own copy
+        assert own is not layer and np.shares_memory(own.W, params.flat) and own.W.any()
+        assert not layer.W.any() and not layer.b.any()  # the layer it copied kept its zeros
 
 
 class TestDeterminismAndCheckpoint:

@@ -465,6 +465,46 @@ class TestSplitIdentity:
         assert moved >= 40 and one_sided >= 25
 
 
+# what split_blocks raises for a layout it cannot split, and nothing else
+SPLIT_ERRORS = ("need at least 3 distinct blocks", "all blocks assigned to test",
+                "too few blocks to keep train, validation, and test non-empty")
+
+
+def test_split_invariants_on_random_block_layouts():
+    """400 fixed-seed layouts of 1-30 blocks of 1-12 rows each, a block's
+    rows scattered through the table, 1-4 responses under a partial mask
+    (NaN where masked), random fractions and every fourth layout without
+    validation. The case count and seeds are fixed."""
+    n_split = 0
+    for case in range(400):
+        rng = np.random.default_rng((20261019, case))
+        sizes = rng.integers(1, 13, size=int(rng.integers(1, 31)))
+        labels = [f"site_{i}|{2000 + i % 7}" for i in range(sizes.size)]
+        blocks = rng.permutation(np.repeat(np.array(labels, dtype=object), sizes))
+        n, k = blocks.size, int(rng.integers(1, 5))
+        mask = (rng.random((n, k)) < rng.uniform(0.0, 1.0)).astype(np.float64)
+        y_bin = np.where(mask == 1.0, (rng.random((n, k)) < 0.3).astype(np.float64), np.nan)
+        test_fraction = float(rng.uniform(0.05, 0.95))
+        val_fraction = 0.0 if case % 4 == 0 else float(rng.uniform(0.05, 0.95))
+        seed = int(rng.integers(0, 2**31))
+        args = (blocks, y_bin, mask, test_fraction, val_fraction, seed)
+        try:
+            split = split_blocks(*args)
+        except ValueError as exc:
+            assert str(exc).startswith(SPLIT_ERRORS), (case, exc)
+            assert (sizes.size < 3) == str(exc).startswith(SPLIT_ERRORS[0]), (case, exc)
+            continue
+        n_split += 1
+        assert split.violations(blocks) == [], case
+        assert abs(split.test_rows.size / n - test_fraction) <= sizes.max() / n + 1e-12, case
+        assert split.test_rows.size and split.fit_rows.size, case
+        assert split.val_rows.size or val_fraction == 0.0, case
+        again = split_blocks(*args)
+        for rows in ("train_rows", "val_rows", "test_rows"):
+            assert np.array_equal(getattr(again, rows), getattr(split, rows)), case
+    assert n_split >= 200  # most layouts split
+
+
 class TestNoLeakage:
     def test_report_stats_reproducible_and_fixed(self):
         raw = tiny_raw(seed=3)

@@ -1,8 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from gradcheck import flatten
-from masktab import nn_core
+from masktab import jsonio, nn_core
 from masktab.masked_loss import MaskedBatch, masked_bce, masked_mse
 from masktab.preprocess import preprocess_raw
 from masktab.synthgen import SynthConfig, generate
@@ -162,6 +165,25 @@ class TestAutoencoder:
         assert h1.val_combined == h2.val_combined
         for a, b in zip(e1, e2):
             assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
+
+
+# what a masked response cell may hold besides NaN
+MASKED_JUNK = (math.inf, -math.inf, 1e308, -1e308, -0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fill", MASKED_JUNK)
+def test_masked_cells_leave_training_bit_identical(planted, fill):
+    ds, split = planted
+    masked = ds.M == 0.0
+    assert masked.any()
+    cfg = quick_cfg(max_epochs=5, patience=5)
+    want_params, want_hist = train_baseline(ds, split, cfg)
+    filled = dataclasses.replace(ds, Y_cont=np.where(masked, fill, ds.Y_cont),
+                                 Y_bin=np.where(masked, fill, ds.Y_bin))
+    params, hist = train_baseline(filled, split, cfg)
+    assert params.flat.tobytes() == want_params.flat.tobytes()
+    assert jsonio.dumps(hist.to_dict()) == jsonio.dumps(want_hist.to_dict())
 
 
 class TestFinetune:

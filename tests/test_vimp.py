@@ -87,6 +87,14 @@ class TestPermutationImportance:
         with pytest.raises(ValueError, match="empty row set"):
             permutation_importance(params, ds, [], "x0", [0], "regression")
 
+    @pytest.mark.parametrize("baseline_loss", [None, 1.0], ids=["computed", "given"])
+    def test_dataset_of_another_width_rejected(self, small_dataset, baseline_loss):
+        ds = small_dataset
+        params = linear_net(np.ones((2, ds.n_features + 1)), 2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            permutation_importance(params, ds, [0, 1], "x0", [0], "regression",
+                                   baseline_loss=baseline_loss)
+
     def test_unknown_group_rejected(self, small_dataset):
         ds = small_dataset
         params = linear_net(np.ones((2, ds.n_features)), 2)
