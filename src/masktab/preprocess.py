@@ -330,6 +330,14 @@ def _gap_objective(sp, so, tot_p, tot_o) -> np.ndarray:
 # the 0.15 stratification target)
 _GAP_GOOD_ENOUGH = 0.04
 
+# the swap scan scores its pairs in chunks whose (pairs x responses) float64
+# arrays stay within this many bytes. Scoring one chunk holds about seven such
+# arrays at once; kept this small they are reused heap memory from chunk to
+# chunk, where one stack of every pair (about 750 KB on the default survey)
+# passes glibc's 128 KiB mmap and heap-trim thresholds and is faulted in
+# afresh at every scan
+_SCAN_BYTES = 32 * 1024
+
 
 def _refine_partition(
     sel: list[str],
@@ -349,6 +357,8 @@ def _refine_partition(
     Every block's positive and observed entries count 0/1 cells, so each side
     total is an exact integer in float64 whatever the order of addition: the
     selected side is kept as running sums and the rest side is total - sel.
+    Swap pairs are scored in chunks of at most _SCAN_BYTES per stacked array;
+    each pair's objective is the same float as in one stack of every pair.
     """
     if not sel or not rest:
         return sel, rest
@@ -361,6 +371,7 @@ def _refine_partition(
     tot_p, tot_o = pos.sum(axis=0), obs.sum(axis=0)
     sp, so = pos[in_sel].sum(axis=0), obs[in_sel].sum(axis=0)
     rows_sel = sizes[in_sel].sum()
+    chunk = max(1, _SCAN_BYTES // (8 * pos.shape[1]))
 
     for _ in range(max_steps):
         base = _gap_objective(sp, so, tot_p, tot_o)
@@ -391,17 +402,20 @@ def _refine_partition(
                     flips = [(int(u[j]), True)]
         if flips is None and si.size and ri.size:
             # pairwise swap scan is the expensive one; only when moves stall.
-            # Only pairs that keep the window are scored, in row-major order,
-            # so argmin breaks ties towards the first (sel, rest) pair.
+            # Only pairs that keep the window are scored, in row-major order
+            # and in consecutive chunks. A chunk's best replaces the running
+            # best only when strictly smaller, so ties go to the first pair.
             delta = rows_sel - sizes[si][:, None] + sizes[ri][None, :]
             a, b = np.nonzero(np.abs(delta - cap_sel) <= window)
-            if a.size:
-                t, u = si[a], ri[b]
+            sel_ix, rest_ix = si[a], ri[b]
+            for lo in range(0, a.size, chunk):
+                t, u = sel_ix[lo:lo + chunk], rest_ix[lo:lo + chunk]
                 objs = _gap_objective(
                     sp - pos[t] + pos[u], so - obs[t] + obs[u], tot_p, tot_o
                 )
                 j = int(np.argmin(objs))
                 if objs[j] < best_obj:
+                    best_obj = objs[j]
                     flips = [(int(t[j]), False), (int(u[j]), True)]
         if flips is None:
             break
@@ -488,6 +502,31 @@ def _partition_blocks(
     return selected, rest
 
 
+def _check_split_inputs(blocks: np.ndarray, y_bin: np.ndarray, mask: np.ndarray) -> None:
+    """One block label and one row of 0/1 cells per sample; y_bin matters only
+    where mask is 1. A count outside {0, 1}, NaN included, would corrupt the
+    tallies the refinement ranks candidates by."""
+    if blocks.ndim != 1 or y_bin.ndim != 2 or mask.ndim != 2:
+        raise ValueError(
+            f"blocks must be 1-D and y_bin, mask 2-D; got shapes "
+            f"{blocks.shape}, {y_bin.shape} and {mask.shape}"
+        )
+    if not len(blocks) == len(y_bin) == len(mask):
+        raise ValueError(
+            f"blocks, y_bin and mask row counts differ: "
+            f"{len(blocks)}, {len(y_bin)} and {len(mask)}"
+        )
+    if y_bin.shape != mask.shape:
+        raise ValueError(f"y_bin and mask shapes differ: {y_bin.shape} and {mask.shape}")
+    for name, bad, cells in (
+        ("mask", (mask != 0.0) & (mask != 1.0), mask),
+        ("observed y_bin", (mask == 1.0) & (y_bin != 0.0) & (y_bin != 1.0), y_bin),
+    ):
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise ValueError(f"{name} cell ({i},{k}) is {cells[i, k]}, not 0 or 1")
+
+
 def split_blocks(
     blocks: np.ndarray,
     y_bin: np.ndarray,
@@ -505,18 +544,24 @@ def split_blocks(
     """
     PreprocessConfig(test_fraction, val_fraction_of_train)  # checks both fractions
     blocks = np.asarray(blocks, dtype=object)
-    block_rows: dict[str, np.ndarray] = {}
-    for i, lab in enumerate(blocks):
-        block_rows.setdefault(lab, []).append(i)
-    block_rows = {lab: np.array(rows, dtype=np.int64) for lab, rows in block_rows.items()}
-    labels = sorted(block_rows)
+    y_bin = np.asarray(y_bin, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    _check_split_inputs(blocks, y_bin, mask)
+    labels, block_of = np.unique(blocks, return_inverse=True)
+    labels = labels.tolist()
     if len(labels) < 3:
         raise ValueError(f"need at least 3 distinct blocks, got {len(labels)}")
 
-    pos_of, obs_of = {}, {}
-    for lab, rows in block_rows.items():
-        obs_of[lab] = mask[rows].sum(axis=0)
-        pos_of[lab] = np.where(mask[rows] == 1.0, y_bin[rows], 0.0).sum(axis=0)
+    # each block's rows in ascending order, and its positive and observed
+    # tallies: sums of 0/1 cells, so exact integers in any order
+    order = np.argsort(block_of, kind="stable")
+    ends = np.cumsum(np.bincount(block_of, minlength=len(labels)))[:-1]
+    block_rows = dict(zip(labels, np.split(order, ends)))
+    pos = np.zeros((len(labels), mask.shape[1]))
+    obs = np.zeros_like(pos)
+    np.add.at(pos, block_of, np.where(mask == 1.0, y_bin, 0.0))
+    np.add.at(obs, block_of, mask)
+    pos_of, obs_of = dict(zip(labels, pos)), dict(zip(labels, obs))
 
     rng = np.random.default_rng(seed)
     test_labels, train_labels = _partition_blocks(

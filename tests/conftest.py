@@ -56,12 +56,18 @@ def small_dataset():
 
 
 @pytest.fixture(scope="session")
-def survey0_splits():
-    """The default survey's (synthesis seed 0) block labels and its
-    split_blocks draws at the default fractions for seeds 0-999. The
-    split-integrity criterion checks every draw and the split digests pin the
-    first 200, so the draws are made once per session."""
+def survey0_split_inputs():
+    """The default survey's (synthesis seed 0) block labels, y_bin and mask."""
     raw = generate(SynthConfig(seed=0))
     _, y_bin, mask = transform_responses(raw.responses, raw.loq)
-    blocks = raw.block_labels()
+    return raw.block_labels(), y_bin, mask
+
+
+@pytest.fixture(scope="session")
+def survey0_splits(survey0_split_inputs):
+    """The default survey's block labels and its split_blocks draws at the
+    default fractions for seeds 0-999. The split-integrity criterion checks
+    every draw and the split digests pin the first 200, so the draws are made
+    once per session."""
+    blocks, y_bin, mask = survey0_split_inputs
     return blocks, [split_blocks(blocks, y_bin, mask, seed=s) for s in range(1000)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from masktab import preprocess
 from masktab.data_model import RawMeta, RawTable, validate
 from masktab.preprocess import (
     _refine_partition,
@@ -292,6 +293,47 @@ class TestBlockSplit:
             realised = len(split.test_rows) / n
             assert abs(realised - 0.2) <= sizes.max() / n + 1e-12
 
+    @pytest.mark.parametrize("case, message", [
+        ("blocks short", r"row counts differ: 295, 300 and 300"),
+        ("blocks long", r"row counts differ: 305, 300 and 300"),
+        ("mask short", r"row counts differ: 300, 300 and 299"),
+        ("mask narrow", r"shapes differ: \(300, 3\) and \(300, 2\)"),
+        ("y_bin flat", r"blocks must be 1-D and y_bin, mask 2-D"),
+        ("mask half", r"mask cell \(7,1\) is 0.5, not 0 or 1"),
+        ("mask nan", r"mask cell \(7,1\) is nan, not 0 or 1"),
+        ("y_bin nan observed", r"observed y_bin cell \(9,2\) is nan, not 0 or 1"),
+        ("y_bin count", r"observed y_bin cell \(9,2\) is 2.0, not 0 or 1"),
+    ])
+    def test_mismatched_or_non_binary_inputs_rejected(self, case, message):
+        blocks, y, m = self.equal_blocks(n_blocks=30, rows_per_block=10)
+
+        def cell(a, i, k, value):
+            a = a.copy()
+            a[i, k] = value
+            return a
+
+        bad = {
+            "blocks short": (blocks[:-5], y, m),
+            "blocks long": (np.concatenate([blocks, blocks[:5]]), y, m),
+            "mask short": (blocks, y, m[:-1]),
+            "mask narrow": (blocks, y, m[:, :2]),
+            "y_bin flat": (blocks, y[:, 0], m[:, 0]),
+            "mask half": (blocks, y, cell(m, 7, 1, 0.5)),
+            "mask nan": (blocks, y, cell(m, 7, 1, np.nan)),
+            "y_bin nan observed": (blocks, cell(y, 9, 2, np.nan), m),
+            "y_bin count": (blocks, cell(y, 9, 2, 2.0), m),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            split_blocks(*bad)
+
+    def test_unobserved_y_bin_cells_are_not_checked(self):
+        blocks, y, m = self.equal_blocks()
+        m[::3, 1] = 0.0
+        want = split_blocks(blocks, y, m, seed=3)
+        got = split_blocks(blocks, np.where(m == 1.0, y, 7.5), m, seed=3)
+        for rows in ("train_rows", "val_rows", "test_rows"):
+            assert np.array_equal(getattr(got, rows), getattr(want, rows))
+
     def test_block_split_wrapper(self, small_dataset):
         split = block_split(small_dataset, seed=0)
         assert split.violations(small_dataset.blocks) == []
@@ -463,6 +505,49 @@ class TestSplitIdentity:
             one_sided += sum(obs_of[lab][0] for lab in rest) == 0
         # the layouts exercise the refinement, including one-sided responses
         assert moved >= 40 and one_sided >= 25
+
+    @staticmethod
+    def tied_swaps_layout():
+        """Six blocks of two rows, one response, sel holding exactly its
+        capacity so no single move fits the window. Swapping either positive
+        sel block for either negative rest block gives the same best
+        objective, and nothing improves after one swap."""
+        pos = {"s1": 2.0, "s2": 2.0, "r1": 0.0, "r2": 0.0, "r3": 2.0, "r4": 2.0}
+        block_rows = {lab: np.arange(2 * i, 2 * i + 2) for i, lab in enumerate(pos)}
+        pos_of = {lab: np.array([p]) for lab, p in pos.items()}
+        obs_of = {lab: np.array([2.0]) for lab in pos}
+        return ["s1", "s2"], ["r1", "r2", "r3", "r4"], block_rows, pos_of, obs_of, 4.0
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_chunked_swap_scan_matches_oracle(self, pairs, monkeypatch):
+        """The swap scan scores its pairs in chunks of `pairs` (the byte budget
+        patched to fit): the running best moves only on a strictly smaller
+        objective, so a tie across chunks goes to the first pair as in one
+        argmin over all pairs."""
+        layouts = [random_block_layout(seed) for seed in range(60)]
+        layouts.append(self.tied_swaps_layout())
+        for n, (sel, rest, block_rows, pos_of, obs_of, cap) in enumerate(layouts):
+            k = len(pos_of[sel[0]])
+            monkeypatch.setattr(preprocess, "_SCAN_BYTES", 8 * k * pairs)
+            got = _refine_partition(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
+            want = _old_refine_partition(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
+            assert got == want, n
+        assert want == (["s2", "r1"], ["s1", "r2", "r3", "r4"])  # the first tied swap
+
+    def test_swap_scan_stays_within_byte_budget(self, survey0_split_inputs, monkeypatch):
+        """No candidate stack scored on the default survey exceeds the scan's
+        byte budget, and the swap scan does fill chunks near it."""
+        stacked = []
+        scored = preprocess._gap_objective
+
+        def recording(sp, so, tot_p, tot_o):
+            stacked.extend((sp.nbytes, so.nbytes))
+            return scored(sp, so, tot_p, tot_o)
+
+        monkeypatch.setattr(preprocess, "_gap_objective", recording)
+        for seed in range(5):
+            split_blocks(*survey0_split_inputs, seed=seed)
+        assert preprocess._SCAN_BYTES // 2 < max(stacked) <= preprocess._SCAN_BYTES
 
 
 # what split_blocks raises for a layout it cannot split, and nothing else
