@@ -64,8 +64,7 @@ class NetworkParams:
     its b, and the network holds its own layers, whose W and b are views of
     that vector. The structure is fixed from then on: the stacks are tuples,
     ``heads`` is a read-only mapping and a layer's arrays cannot be rebound,
-    so the layers and ``flat`` always share memory. The backbone comes first,
-    so ``flat[backbone_size:]`` holds exactly the heads.
+    so the layers and ``flat`` always share memory.
     """
 
     backbone: tuple[DenseLayer, ...]
@@ -92,10 +91,6 @@ class NetworkParams:
         object.__setattr__(self, "heads", types.MappingProxyType(
             {h: tuple(own(l) for l in heads[h]) for h in sorted(heads)}))
         object.__setattr__(self, "flat", flat)
-
-    @property
-    def backbone_size(self) -> int:
-        return sum(l.W.size + l.b.size for l in self.backbone)
 
     @property
     def input_dim(self) -> int:
@@ -243,6 +238,16 @@ def forward(
     return outputs, cache
 
 
+def encode(layers: Sequence[DenseLayer], X: np.ndarray,
+           rng: np.random.Generator | None = None) -> np.ndarray:
+    """The output of a fixed stack, such as a frozen encoder, for the rows of
+    X: in train mode (dropout drawn from ``rng``) when a generator is given,
+    else in infer mode. No backward cache is kept."""
+    X = np.asarray(X, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run_stack(layers, X, "infer" if rng is None else "train", rng, None)
+
+
 def _backprop_stack(
     layers: Sequence[DenseLayer],
     caches: list[_LayerCache],
@@ -281,22 +286,17 @@ def backward(
     params: NetworkParams,
     cache: ForwardCache,
     upstream: dict[str, np.ndarray],
-    backbone: bool = True,
     out: NetworkParams | None = None,
 ) -> NetworkParams:
     """Reverse-mode gradients for every parameter, as one flat vector.
 
     ``upstream`` maps head name to dLoss/d(head output); heads absent from it
     contribute nothing. Backbone gradients sum the contributions of all heads.
-    With ``backbone=False`` nothing is propagated into the backbone, which
-    is what frozen fine-tuning needs: its gradients are zero in a new
-    buffer and not written in ``out``.
 
     ``out``, a buffer shaped like ``params`` (``params.zeros_like()``), is
-    written and returned in place of a new one. Every head's slice is
-    overwritten (zeros for a head absent from ``upstream``), and so is the
-    backbone's unless ``backbone=False``, so a training loop can pass the
-    same buffer every step.
+    written and returned in place of a new one. Every slice is overwritten
+    (zeros for a head absent from ``upstream``), so a training loop can pass
+    the same buffer every step.
     """
     if cache.mode != "train":
         raise ValueError(
@@ -315,7 +315,7 @@ def backward(
             for layer in grads.heads[head]:
                 layer.W[...] = 0.0
                 layer.b[...] = 0.0
-    into_backbone = backbone and bool(params.backbone)
+    into_backbone = bool(params.backbone)
     if into_backbone:
         trunk_delta = np.zeros_like(cache.backbone[-1].a)
     for head, delta in upstream.items():
@@ -353,13 +353,12 @@ def _layout(params: NetworkParams) -> list[tuple[str, tuple, tuple]]:
     return [(path, l.W.shape, l.b.shape) for path, l in params.named_layers()]
 
 
-def _first_non_finite(grads: NetworkParams, backbone: bool) -> str:
+def _first_non_finite(grads: NetworkParams) -> str:
     """The first non-finite gradient in path order, as ``path.W`` or ``path.b``."""
     for path, layer in sorted(grads.named_layers(), key=lambda item: item[0]):
-        if backbone or not path.startswith("backbone."):
-            for attr in ("W", "b"):
-                if not np.isfinite(getattr(layer, attr)).all():
-                    return f"{path}.{attr}"
+        for attr in ("W", "b"):
+            if not np.isfinite(getattr(layer, attr)).all():
+                return f"{path}.{attr}"
     raise AssertionError("no non-finite gradient found")
 
 
@@ -367,32 +366,28 @@ def adam_step(
     params: NetworkParams,
     grads: NetworkParams,
     state: AdamState,
-    backbone: bool = True,
 ) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected Adam update, in place; returns (params, state).
 
     The update runs over the flat vectors in blocks of ``ADAM_BLOCK``, with
     the per-element operation order of the textbook update, so results do
-    not depend on the blocking. With ``backbone=False`` the backbone's
-    weights and moments are left untouched; for a zero backbone gradient
-    that is exactly what the full update does. A non-finite gradient raises
-    before anything changes.
+    not depend on the blocking. A non-finite gradient raises before anything
+    changes.
     """
     if _layout(params) != _layout(grads):
         raise ValueError("gradient structure does not match parameters")
     p, g = params.flat, grads.flat
     if state.m.shape != p.shape or state.v.shape != p.shape:
         raise ValueError("Adam state does not match parameters")
-    start = 0 if backbone else params.backbone_size
-    if not np.isfinite(g[start:]).all():
-        raise FloatingPointError(f"non-finite gradient for {_first_non_finite(grads, backbone)}")
+    if not np.isfinite(g).all():
+        raise FloatingPointError(f"non-finite gradient for {_first_non_finite(grads)}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     lr, eps = state.learning_rate, state.epsilon
-    scratch = np.empty((2, min(ADAM_BLOCK, p.size - start)))
-    for lo in range(start, p.size, ADAM_BLOCK):
+    scratch = np.empty((2, min(ADAM_BLOCK, p.size)))
+    for lo in range(0, p.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, p.size)
         gb, mb, vb, pb = g[lo:hi], state.m[lo:hi], state.v[lo:hi], p[lo:hi]
         s, u = scratch[0, : hi - lo], scratch[1, : hi - lo]

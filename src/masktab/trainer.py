@@ -89,7 +89,6 @@ def _fit(
     batch_loss,
     val_loss,
     shuffle_rng: np.random.Generator | None = None,
-    backbone: bool = True,
 ) -> tuple[NetworkParams, TrainHistory]:
     """The epoch loop of every protocol: Adam over mini-batches of the fit
     rows, early stopping on validation loss, and the best weights restored.
@@ -99,8 +98,7 @@ def _fit(
     ``train_<part>`` means, upstream the loss gradient per head output.
     ``val_loss()`` returns the ``val_<part>`` values; ``"combined"`` decides
     early stopping. A non-finite loss raises FloatingPointError. Batch order
-    is fixed unless ``shuffle_rng`` is given; ``backbone=False`` leaves the
-    backbone's weights and Adam moments untouched.
+    is fixed unless ``shuffle_rng`` is given.
     """
     state = AdamState.for_params(params, learning_rate=cfg.lr)
     grads = params.zeros_like()  # every step's gradient is written into this one buffer
@@ -119,8 +117,8 @@ def _fit(
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch}: {loss!r}"
                 )
-            nn_core.backward(params, cache, upstream, backbone=backbone, out=grads)
-            nn_core.adam_step(params, grads, state, backbone=backbone)
+            nn_core.backward(params, cache, upstream, out=grads)
+            nn_core.adam_step(params, grads, state)
             for name, value in parts.items():
                 sums[name] = sums.get(name, 0.0) + value
 
@@ -152,8 +150,10 @@ def _train_supervised(
     split: SplitAssignment,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    freeze_backbone: bool = False,
+    encoder: Sequence[DenseLayer] = (),
 ) -> tuple[NetworkParams, TrainHistory]:
+    """Fit ``params`` to the split's fit rows mapped through the fixed
+    ``encoder``: each batch in train mode, the validation rows once in infer."""
     fit_rows = split.fit_rows
     val_rows = split.val_rows
     if val_rows.size == 0:
@@ -161,13 +161,14 @@ def _train_supervised(
     if fit_rows.size == 0:
         raise ValueError("no training rows left after the validation holdout")
 
-    X_fit, X_val = ds.X[fit_rows], ds.X[val_rows]
+    X_fit, X_val = ds.X[fit_rows], nn_core.encode(encoder, ds.X[val_rows])
     yc_fit, yb_fit, m_fit = ds.Y_cont[fit_rows], ds.Y_bin[fit_rows], ds.M[fit_rows]
     yc_val, yb_val, m_val = ds.Y_cont[val_rows], ds.Y_bin[val_rows], ds.M[val_rows]
     w_mse, w_bce = cfg.loss_weights
 
     def batch_loss(batch):
-        out, cache = nn_core.forward(params, X_fit[batch], mode="train", rng=rng)
+        x = nn_core.encode(encoder, X_fit[batch], rng)
+        out, cache = nn_core.forward(params, x, mode="train", rng=rng)
         # combined_loss's weighted sum, keeping the parts for the history
         mse, g_cont = masked_mse(MaskedBatch(y=yc_fit[batch], y_hat=out["cont"], m=m_fit[batch]))
         bce, g_bin = masked_bce(MaskedBatch(y=yb_fit[batch], y_hat=out["bin"], m=m_fit[batch]))
@@ -182,12 +183,8 @@ def _train_supervised(
         bce, _ = masked_bce(MaskedBatch(y=yb_val, y_hat=out["bin"], m=m_val))
         return {"mse": mse, "bce": bce, "combined": w_mse * mse + w_bce * bce}
 
-    # a frozen backbone gets no gradient and no Adam update: with a zero
-    # gradient the full update would leave its weights and moments as they are
-    return _fit(
-        params, cfg, fit_rows.size, batch_loss, val_loss,
-        shuffle_rng=rng if cfg.shuffle else None, backbone=not freeze_backbone,
-    )
+    return _fit(params, cfg, fit_rows.size, batch_loss, val_loss,
+                shuffle_rng=rng if cfg.shuffle else None)
 
 
 def _task_heads(in_dim: int, n_responses: int) -> dict[str, list[LayerSpec]]:
@@ -284,17 +281,22 @@ def finetune(
 ) -> tuple[NetworkParams, TrainHistory]:
     """Attach fresh task heads to a pre-trained encoder and train.
 
-    ``frozen`` keeps every encoder weight bit-identical and updates only the
-    heads; otherwise the network trains end-to-end.
+    ``frozen`` treats the encoder as a fixed feature map: only the heads are
+    fitted, on the encoder's outputs, and the returned network holds the
+    encoder's weights bit for bit. Otherwise the network trains end-to-end.
     """
+    if not encoder:
+        raise ValueError("finetune needs an encoder with at least one layer")
     if encoder[0].spec.in_dim != ds.n_features:
         raise ValueError(
             f"encoder expects {encoder[0].spec.in_dim} inputs, dataset has {ds.n_features}"
         )
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     fresh = nn_core.init_network([], _task_heads(encoder[-1].spec.out_dim, ds.n_responses), rng)
-    params = NetworkParams(backbone=encoder, heads=fresh.heads)  # copies the encoder
-    return _train_supervised(params, ds, split, cfg, rng, freeze_backbone=frozen)
+    if not frozen:  # the network copies the encoder, which is never written
+        return _train_supervised(NetworkParams(encoder, fresh.heads), ds, split, cfg, rng)
+    best, history = _train_supervised(fresh, ds, split, cfg, rng, encoder=encoder)
+    return NetworkParams(encoder, best.heads), history
 
 
 def pretrain_encoder(

@@ -13,6 +13,7 @@ from masktab.nn_core import (
     NetworkParams,
     adam_step,
     backward,
+    encode,
     forward,
     init_network,
     load_checkpoint,
@@ -78,6 +79,42 @@ class TestForward:
         params = small_network()
         with pytest.raises(ValueError, match="shape mismatch"):
             forward(params, np.zeros((2, 7)))
+
+
+class TestEncode:
+    """encode runs a fixed stack as forward runs the backbone, with no cache."""
+
+    def test_train_mode_matches_forward_trunk_and_draws(self):
+        params = small_network(seed=4, dropout=0.3)
+        x = np.random.default_rng(5).standard_normal((9, 5))
+        rng_f, rng_e = np.random.default_rng(6), np.random.default_rng(6)
+        _, cache = forward(params, x, mode="train", rng=rng_f)
+        trunk = cache.heads["cont"][0].x  # the backbone's output after its dropout
+        assert cache.backbone[-1].drop is not None
+        got = encode(params.backbone, x, rng_e)
+        assert np.array_equal(bits(got), bits(trunk))
+        assert rng_e.bit_generator.state == rng_f.bit_generator.state
+
+    def test_infer_mode_matches_forward(self):
+        params = small_network(seed=4, dropout=0.3)
+        x = np.random.default_rng(5).standard_normal((9, 5))
+        want, _ = forward(params, x)
+        heads = NetworkParams([], params.heads)
+        got, _ = forward(heads, encode(params.backbone, x))
+        for head in want:
+            assert np.array_equal(bits(got[head]), bits(want[head]))
+        trunk, _ = forward(NetworkParams([], {"trunk": params.backbone}), x)
+        assert np.array_equal(bits(encode(params.backbone, x)), bits(trunk["trunk"]))
+
+    def test_broken_chain_raises_like_forward(self):
+        params = small_network()
+        broken = [params.backbone[0], params.backbone[0]]  # 5 -> 4, then reads 5
+        x = np.zeros((2, 5))
+        with pytest.raises(ValueError, match="shape mismatch") as from_forward:
+            forward(NetworkParams(broken, {}), x)
+        with pytest.raises(ValueError, match="shape mismatch") as from_encode:
+            encode(broken, x)
+        assert str(from_encode.value) == str(from_forward.value)
 
 
 def masked_sigmoid(z):
@@ -253,7 +290,7 @@ class TestBackward:
 
 
 
-def reference_backward(params, cache, upstream, backbone=True):
+def reference_backward(params, cache, upstream):
     """The allocating backward the in-place one replaced, as an oracle: each
     mask applied as a fresh product, and every gradient a fresh array."""
     grads = params.zeros_like()
@@ -273,8 +310,7 @@ def reference_backward(params, cache, upstream, backbone=True):
     trunk = np.zeros_like(cache.backbone[-1].a)
     for head, delta in upstream.items():
         trunk = trunk + stack(params.heads[head], cache.heads[head], delta, grads.heads[head])
-    if backbone:
-        stack(params.backbone, cache.backbone, trunk, grads.backbone)
+    stack(params.backbone, cache.backbone, trunk, grads.backbone)
     return grads
 
 
@@ -285,11 +321,7 @@ def bits(a):
 class TestGradientBuffer:
     """backward(..., out=buffer) writes every slice of a reused buffer."""
 
-    CASES = {
-        "full": (True, ("cont", "bin", "recon")),
-        "frozen-backbone": (False, ("cont", "bin", "recon")),
-        "head-missing": (True, ("cont", "recon")),
-    }
+    CASES = {"full": ("cont", "bin", "recon"), "head-missing": ("cont", "recon")}
 
     def instance(self):
         net = small_network(seed=3, dropout=0.25)
@@ -307,22 +339,16 @@ class TestGradientBuffer:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_dirty_buffer_matches_fresh_backward_bit_for_bit(self, case):
-        backbone, heads = self.CASES[case]
         params, cache, upstream = self.instance()
-        upstream = {h: upstream[h] for h in heads}
+        upstream = {h: upstream[h] for h in self.CASES[case]}
         given = {h: d.copy() for h, d in upstream.items()}
-        fresh = backward(params, cache, upstream, backbone=backbone)
+        fresh = backward(params, cache, upstream)
         buf = params.zeros_like()
-        # a frozen backbone's slice is not written: it keeps what it held
-        written = slice(0 if backbone else params.backbone_size, None)
         for fill in (np.nan, -0.0, 7.0):  # reused across steps with stale values
             buf.flat[:] = fill
-            assert backward(params, cache, upstream, backbone=backbone, out=buf) is buf
-            assert np.array_equal(bits(buf.flat[written]), bits(fresh.flat[written]))
-            assert np.array_equal(bits(buf.flat[: written.start]),
-                                  bits(np.full(written.start, fill)))
-        assert not fresh.flat[: written.start].any()
-        oracle = reference_backward(params, cache, upstream, backbone=backbone)
+            assert backward(params, cache, upstream, out=buf) is buf
+            assert np.array_equal(bits(buf.flat), bits(fresh.flat))
+        oracle = reference_backward(params, cache, upstream)
         assert np.array_equal(bits(fresh.flat), bits(oracle.flat))
         for h, d in upstream.items():  # the caller's upstream is never written
             assert np.array_equal(bits(d), bits(given[h]))
@@ -391,10 +417,6 @@ class TestAdam:
             adam_step(params, grads, state)
         assert np.array_equal(params.flat, np.ones(4))
         assert state.step == 0 and not state.m.any() and not state.v.any()
-        # a frozen step ignores the backbone, which it does not update
-        grads.heads["aux"][0].b[0] = 1.0
-        adam_step(params, grads, state, backbone=False)
-        assert state.step == 1 and params.backbone[0].W[0, 0] == 1.0
 
 
 def reference_adam_step(params, grads, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -456,29 +478,6 @@ class TestFlatAdamMatchesReference:
         assert np.array_equal(state.m, flatten_moments(oracle, m))
         assert np.array_equal(state.v, flatten_moments(oracle, v))
 
-    def test_frozen_step_matches_zeroed_backbone_gradient(self):
-        skip, full = small_network(seed=5, dropout=0.2), small_network(seed=5, dropout=0.2)
-        encoder = skip.flat[: skip.backbone_size].copy()
-        s_skip, s_full = AdamState.for_params(skip), AdamState.for_params(full)
-        rng_s, rng_f = np.random.default_rng(1), np.random.default_rng(1)
-        x = np.random.default_rng(2).standard_normal((6, 5))
-        for _ in range(50):
-            out, cache = forward(skip, x, mode="train", rng=rng_s)
-            grads = backward(skip, cache, {"cont": out["cont"] - 1.0, "bin": out["bin"]},
-                             backbone=False)
-            assert not grads.flat[: skip.backbone_size].any()
-            adam_step(skip, grads, s_skip, backbone=False)
-
-            out, cache = forward(full, x, mode="train", rng=rng_f)
-            grads = backward(full, cache, {"cont": out["cont"] - 1.0, "bin": out["bin"]})
-            for layer in grads.backbone:
-                layer.W[:] = 0.0
-                layer.b[:] = 0.0
-            adam_step(full, grads, s_full)
-        assert np.array_equal(skip.flat, full.flat)
-        assert np.array_equal(skip.flat[: skip.backbone_size], encoder)
-        assert np.array_equal(s_skip.m, s_full.m) and np.array_equal(s_skip.v, s_full.v)
-
 
 class TestFlatStorage:
     def test_layers_are_views_of_one_vector(self):
@@ -493,7 +492,10 @@ class TestFlatStorage:
         twin = params.copy()
         twin.flat[0] = -1.0
         assert params.backbone[0].W[0, 0] == 42.0
-        assert params.backbone_size == sum(l.W.size + l.b.size for l in params.backbone)
+        # the backbone comes first, then the heads in sorted order
+        n = sum(l.W.size + l.b.size for l in params.backbone)
+        assert np.shares_memory(params.backbone[-1].b, flat[n - 1 : n])
+        assert np.shares_memory(params.heads["bin"][0].W, flat[n : n + 1])
 
     def test_structure_is_fixed_and_construction_copies(self):
         params = small_network(seed=2)

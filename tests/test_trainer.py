@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradcheck import flatten
-from masktab import jsonio, nn_core
+from masktab import jsonio, nn_core, trainer
 from masktab.masked_loss import MaskedBatch, masked_bce, masked_mse
 from masktab.preprocess import preprocess_raw
 from masktab.synthgen import SynthConfig, generate
@@ -203,31 +203,42 @@ class TestFinetune:
             assert np.array_equal(b0, layer.b)
 
     def test_frozen_matches_full_update_with_zeroed_backbone_grads(self, planted, monkeypatch):
-        # frozen fine-tuning skips backprop into the backbone and Adam on it;
-        # the path it replaced ran both in full on zeroed backbone gradients
+        # frozen fine-tuning fits heads only, on the encoder's outputs; the
+        # oracle trains the whole network with every backbone gradient zeroed,
+        # which Adam turns into no change of the encoder's weights or moments
         ds, split = planted
         encoder = self.make_encoder(ds)
-        cfg = quick_cfg(max_epochs=8, patience=8)
-        params, hist = finetune(encoder, ds, split, cfg, frozen=True)
-
-        full_backward, full_adam = nn_core.backward, nn_core.adam_step
+        full_backward = nn_core.backward
         calls = []
 
-        def zeroed_backward(p, cache, upstream, backbone=True, out=None):
-            calls.append(backbone)
+        def zeroed_backward(p, cache, upstream, out=None):
+            calls.append(len(p.backbone))
             grads = full_backward(p, cache, upstream, out=out)
-            if not backbone:
-                for layer in grads.backbone:
-                    layer.W[:] = 0.0
-                    layer.b[:] = 0.0
+            grads.flat[: sum(l.W.size + l.b.size for l in grads.backbone)] = 0.0
             return grads
 
-        monkeypatch.setattr(nn_core, "backward", zeroed_backward)
-        monkeypatch.setattr(nn_core, "adam_step", lambda p, g, s, backbone=True: full_adam(p, g, s))
-        old_params, old_hist = finetune(encoder, ds, split, cfg, frozen=True)
-        assert calls and not any(calls)
-        assert np.array_equal(params.flat, old_params.flat)
-        assert hist.to_dict() == old_hist.to_dict()
+        histories = []
+        for shuffle in (False, True):
+            cfg = quick_cfg(max_epochs=8, patience=8, shuffle=shuffle)
+            params, hist = finetune(encoder, ds, split, cfg, frozen=True)
+            rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+            heads = trainer._task_heads(encoder[-1].spec.out_dim, ds.n_responses)
+            fresh = nn_core.init_network([], heads, rng)
+            with monkeypatch.context() as m:
+                m.setattr(nn_core, "backward", zeroed_backward)
+                want, want_hist = trainer._train_supervised(
+                    nn_core.NetworkParams(encoder, fresh.heads), ds, split, cfg, rng)
+            assert calls and set(calls) == {len(encoder)}
+            assert params.flat.tobytes() == want.flat.tobytes()
+            assert jsonio.dumps(hist.to_dict()) == jsonio.dumps(want_hist.to_dict())
+            histories.append(hist.to_dict())
+        assert histories[0] != histories[1]  # shuffling changed the fit
+
+    def test_empty_encoder_rejected(self, planted):
+        ds, split = planted
+        for frozen in (False, True):
+            with pytest.raises(ValueError, match="at least one layer"):
+                finetune((), ds, split, quick_cfg(), frozen=frozen)
 
     def test_unfrozen_updates_encoder(self, planted):
         ds, split = planted
