@@ -25,24 +25,25 @@ config = {
     "importance": {"mode": "grouped", "repeats": 10},
 }
 
-out = Path(tempfile.mkdtemp(prefix="masktab_demo_")) / "artifacts"
-run_pipeline(config, out)
+with tempfile.TemporaryDirectory(prefix="masktab_demo_") as tmp:
+    out = Path(tmp) / "artifacts"
+    run_pipeline(config, out)
 
-manifest = json.loads((out / "manifest.json").read_text())
-print(f"artifacts in {out}")
-print("stages completed:", ", ".join(manifest["completed"]))
-print("stage seeds derived from the global seed:")
-for stage, seed in manifest["stage_seeds"].items():
-    print(f"  {stage:24} {seed}")
-print()
+    manifest = json.loads((out / "manifest.json").read_text())
+    print(f"artifacts in {out}")
+    print("stages completed:", ", ".join(manifest["completed"]))
+    print("stage seeds derived from the global seed:")
+    for stage, seed in manifest["stage_seeds"].items():
+        print(f"  {stage:24} {seed}")
+    print()
 
-print((out / "report_summary.txt").read_text())
+    print((out / "report_summary.txt").read_text())
 
-winners = json.loads((out / "winners.json").read_text())
-best = max(winners["win_percentages"], key=winners["win_percentages"].get)
-print(f"importance.json was computed for the overall winner: {best}")
+    winners = json.loads((out / "winners.json").read_text())
+    best = max(winners["win_percentages"], key=winners["win_percentages"].get)
+    print(f"importance.json was computed for the overall winner: {best}")
 
-before = (out / "manifest.json").read_bytes()
-run_pipeline(config, out)  # second run: every stage is current, nothing recomputed
-print("rerun with unchanged config: manifest byte-identical =",
-      (out / "manifest.json").read_bytes() == before)
+    before = (out / "manifest.json").read_bytes()
+    run_pipeline(config, out)  # second run: every stage is current, nothing recomputed
+    print("rerun with unchanged config: manifest byte-identical =",
+          (out / "manifest.json").read_bytes() == before)

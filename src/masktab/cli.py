@@ -192,7 +192,10 @@ def _history_path(ckpt: Path) -> Path:
 
 
 def _train_and_save(ds, split, cfg: TrainConfig, model: str, out, encoder=None) -> TrainHistory:
-    params, history = train_model(ds, split, cfg, model, encoder=encoder)
+    try:  # e.g. a split preprocessed with --val-fraction 0 has no validation rows
+        params, history = train_model(ds, split, cfg, model, encoder=encoder)
+    except ValueError as exc:
+        raise DataError(f"cannot train {model} on this split: {exc}") from exc
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     nn_core.save_checkpoint(params, out, extra={"model": model, "seed": cfg.seed})
@@ -234,9 +237,12 @@ def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
 
 def _importance_and_save(ds, split, ckpt, imp: ImportanceConfig, seed: int, out):
     params = _load_checkpoint(ckpt, ds)
-    report = importance_report(
-        params, ds, split.test_rows, mode=imp.mode, n_repeats=imp.repeats, seed=seed,
-    )
+    try:
+        report = importance_report(
+            params, ds, split.test_rows, mode=imp.mode, n_repeats=imp.repeats, seed=seed,
+        )
+    except ValueError as exc:
+        raise DataError(f"cannot compute importance on the split's test rows: {exc}") from exc
     report.save(out)
     return report
 
@@ -326,7 +332,10 @@ def build_report(artifact_dir) -> tuple[dict, str]:
             reports[p.stem[len("eval_"):]] = EvalReport.load(p)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"unreadable evaluation artifact {p}: {exc}") from exc
-    ranking = winner_ranking(reports)
+    try:
+        ranking = winner_ranking(reports)
+    except ValueError as exc:
+        raise DataError(f"cannot rank the evaluation artifacts in {art}: {exc}") from exc
     rows = []
     for name in sorted(reports):
         avg = reports[name].averages()

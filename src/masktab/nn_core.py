@@ -443,11 +443,15 @@ def save_checkpoint(params: NetworkParams, path, extra: dict | None = None) -> N
 
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     doc = jsonio.load(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint is a JSON {type(doc).__name__}, not an object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     backbone: list[DenseLayer] = []
     heads: dict[str, list[DenseLayer]] = {}
     for rec in doc["layers"]:
+        if not isinstance(rec["path"], str):
+            raise ValueError(f"checkpoint layer path {rec['path']!r} is not a string")
         spec = LayerSpec.from_dict(
             {k: rec[k] for k in ("in_dim", "out_dim", "activation", "dropout_rate")}
         )

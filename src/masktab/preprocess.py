@@ -340,33 +340,28 @@ _SCAN_BYTES = 32 * 1024
 
 
 def _refine_partition(
-    sel: list[str],
-    rest: list[str],
-    block_rows: dict[str, np.ndarray],
-    pos_of: dict[str, np.ndarray],
-    obs_of: dict[str, np.ndarray],
-    cap_sel: float,
-    max_steps: int = 30,
-) -> tuple[list[str], list[str]]:
+    sel: np.ndarray, rest: np.ndarray, sizes: np.ndarray, pos: np.ndarray, obs: np.ndarray,
+    cap_sel: float, max_steps: int = 30,
+) -> tuple[np.ndarray, np.ndarray]:
     """Single-block moves and swaps that shrink the worst positive-rate gap.
 
-    Candidates must keep the selected side within half the largest block of
-    its capacity and may never empty a side. Deterministic: candidates are
-    ranked in a fixed order and the first best improvement is applied.
+    sel and rest hold block indices into sizes and the (blocks x responses)
+    pos/obs tallies. Candidates must keep the selected side within half the
+    largest block of its capacity and may never empty a side. Deterministic:
+    blocks are ranked sorted sel then sorted rest, and the first best
+    improvement is applied. Both sides come back in that ranking's order.
 
-    Every block's positive and observed entries count 0/1 cells, so each side
-    total is an exact integer in float64 whatever the order of addition: the
-    selected side is kept as running sums and the rest side is total - sel.
-    Swap pairs are scored in chunks of at most _SCAN_BYTES per stacked array;
-    each pair's objective is the same float as in one stack of every pair.
+    Every block's tallies count 0/1 cells, so each side total is an exact
+    integer in float64 whatever the order of addition: the selected side is
+    kept as running sums and the rest side is total - sel. Swap pairs are
+    scored in chunks of at most _SCAN_BYTES per stacked array; each pair's
+    objective is the same float as in one stack of every pair.
     """
-    if not sel or not rest:
+    if not sel.size or not rest.size:
         return sel, rest
-    labels = sorted(sel) + sorted(rest)
-    sizes = np.array([len(block_rows[lab]) for lab in labels], dtype=np.float64)
-    pos = np.vstack([pos_of[lab] for lab in labels])
-    obs = np.vstack([obs_of[lab] for lab in labels])
-    in_sel = np.arange(len(labels)) < len(sel)
+    ix = np.concatenate([np.sort(sel), np.sort(rest)])
+    sizes, pos, obs = sizes[ix], pos[ix], obs[ix]
+    in_sel = np.arange(ix.size) < sel.size
     window = sizes.max() / 2.0
     tot_p, tot_o = pos.sum(axis=0), obs.sum(axis=0)
     sp, so = pos[in_sel].sum(axis=0), obs[in_sel].sum(axis=0)
@@ -426,80 +421,62 @@ def _refine_partition(
             so = so + sign * obs[idx]
             rows_sel += sign * sizes[idx]
 
-    new_sel = [labels[i] for i in np.flatnonzero(in_sel)]
-    new_rest = [labels[i] for i in np.flatnonzero(~in_sel)]
-    return new_sel, new_rest
+    return ix[in_sel], ix[~in_sel]
 
 
 def _partition_blocks(
-    labels: list[str],
-    block_rows: dict[str, np.ndarray],
-    target_fraction: float,
-    pos_of: dict[str, np.ndarray],
-    obs_of: dict[str, np.ndarray],
-    rng: np.random.Generator,
-) -> tuple[list[str], list[str]]:
+    blocks: np.ndarray, sizes: np.ndarray, target_fraction: float, pos: np.ndarray,
+    obs: np.ndarray, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
     """Greedy largest-first assignment of whole blocks to two partitions.
 
-    Each partition has a row-count capacity (its target share). While both
-    sides can still take a block without overshooting their capacity by more
-    than half the block, the side that keeps per-response positive rates
-    closest wins; ties go to the side lagging furthest behind its target.
-    Overshoot is therefore bounded by half the largest block. pos_of/obs_of
-    hold each block's per-response positive and observed cell counts.
+    blocks holds block indices into sizes and the (blocks x responses) pos/obs
+    tallies of positive and observed cells. Each partition has a row-count
+    capacity (its target share). While both sides can still take a block
+    without overshooting their capacity by more than half the block, the side
+    that keeps per-response positive rates closest wins; ties go to the side
+    lagging furthest behind its target, then to rest. Overshoot is therefore
+    bounded by half the largest block. Returns (selected, rest) index arrays.
     """
-    sizes = {lab: len(block_rows[lab]) for lab in labels}
-    order = sorted(rng.permutation(np.array(labels, dtype=object)), key=lambda l: -sizes[l])
-    total = sum(sizes.values())
-    caps = {"sel": target_fraction * total, "rest": (1.0 - target_fraction) * total}
+    perm = rng.permutation(blocks)
+    order = perm[np.argsort(-sizes[perm], kind="stable")]
+    caps = np.array([target_fraction, 1.0 - target_fraction]) * sizes[blocks].sum()
 
-    k = len(pos_of[labels[0]])
-    pos = {"sel": np.zeros(k), "rest": np.zeros(k)}
-    obs = {"sel": np.zeros(k), "rest": np.zeros(k)}
-    rows_in = {"sel": 0.0, "rest": 0.0}
-    out = {"sel": [], "rest": []}
+    # rows 0 and 1 are the selected and rest sides
+    side_pos = np.zeros((2, pos.shape[1]))
+    side_obs = np.zeros_like(side_pos)
+    rows_in = np.zeros(2)
+    side_of = np.empty(order.size, dtype=np.int64)
 
-    for lab in order:
-        s = sizes[lab]
-        b_pos, b_obs = pos_of[lab], obs_of[lab]
-
-        def divergence_if(side: str) -> float:
-            if side == "sel":
-                return _divergence(pos["sel"] + b_pos, obs["sel"] + b_obs, pos["rest"], obs["rest"])
-            return _divergence(pos["sel"], obs["sel"], pos["rest"] + b_pos, obs["rest"] + b_obs)
-
-        def relative_deficit(side: str) -> float:
-            return (caps[side] - rows_in[side]) / caps[side] if caps[side] > 0 else -np.inf
-
-        feasible = [
-            side for side in ("sel", "rest")
-            if caps[side] - rows_in[side] >= s / 2.0
-        ]
-        if len(feasible) == 1:
-            choice = feasible[0]
-        elif len(feasible) == 2:
-            ranked = sorted(
-                feasible,
-                key=lambda side: (divergence_if(side), -relative_deficit(side), side != "rest"),
-            )
-            choice = ranked[0]
+    for i, blk in enumerate(order):
+        room = caps - rows_in
+        fits = room >= sizes[blk] / 2.0
+        if fits.all():
+            keys = [
+                (_divergence(side_pos[0] + pos[blk], side_obs[0] + obs[blk],
+                             side_pos[1], side_obs[1]), -room[0] / caps[0], True),
+                (_divergence(side_pos[0], side_obs[0],
+                             side_pos[1] + pos[blk], side_obs[1] + obs[blk]),
+                 -room[1] / caps[1], False),
+            ]
+            choice = 0 if keys[0] < keys[1] else 1
         else:
-            # both full: overshoot the side with the most room left
-            choice = max(("sel", "rest"), key=lambda side: (caps[side] - rows_in[side], side == "rest"))
-        out[choice].append(lab)
-        rows_in[choice] += s
-        pos[choice] += b_pos
-        obs[choice] += b_obs
+            # the side with more room, which is the side that fits: the rooms
+            # sum to the rows not yet placed, this block's included, so one
+            # side fits but for rounding, where rest takes a tie
+            choice = 0 if room[0] > room[1] else 1
+        side_of[i] = choice
+        rows_in[choice] += sizes[blk]
+        side_pos[choice] += pos[blk]
+        side_obs[choice] += obs[blk]
 
-    selected, rest = out["sel"], out["rest"]
-    if target_fraction > 0.0 and not selected and rest:
-        smallest = min(rest, key=lambda l: (sizes[l], l))
-        rest.remove(smallest)
-        selected.append(smallest)
-    selected, rest = _refine_partition(
-        selected, rest, block_rows, pos_of, obs_of, caps["sel"]
-    )
-    return selected, rest
+    selected, rest = order[side_of == 0], order[side_of == 1]
+    if target_fraction > 0.0 and not selected.size:
+        # the smallest block, the lowest index among equals
+        by_index = np.sort(rest)
+        smallest = by_index[np.argmin(sizes[by_index])]
+        selected, rest = np.array([smallest]), rest[rest != smallest]
+    return _refine_partition(selected, rest, sizes, pos, obs, caps[0])
 
 
 def _check_split_inputs(blocks: np.ndarray, y_bin: np.ndarray, mask: np.ndarray) -> None:
@@ -547,43 +524,31 @@ def split_blocks(
     y_bin = np.asarray(y_bin, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     _check_split_inputs(blocks, y_bin, mask)
+    # np.unique sorts, so block index order is label order
     labels, block_of = np.unique(blocks, return_inverse=True)
-    labels = labels.tolist()
-    if len(labels) < 3:
-        raise ValueError(f"need at least 3 distinct blocks, got {len(labels)}")
+    if labels.size < 3:
+        raise ValueError(f"need at least 3 distinct blocks, got {labels.size}")
 
-    # each block's rows in ascending order, and its positive and observed
-    # tallies: sums of 0/1 cells, so exact integers in any order
-    order = np.argsort(block_of, kind="stable")
-    ends = np.cumsum(np.bincount(block_of, minlength=len(labels)))[:-1]
-    block_rows = dict(zip(labels, np.split(order, ends)))
-    pos = np.zeros((len(labels), mask.shape[1]))
+    # each block's row count and its positive and observed tallies: sums of
+    # 0/1 cells, so exact integers in any order
+    sizes = np.bincount(block_of)
+    pos = np.zeros((labels.size, mask.shape[1]))
     obs = np.zeros_like(pos)
     np.add.at(pos, block_of, np.where(mask == 1.0, y_bin, 0.0))
     np.add.at(obs, block_of, mask)
-    pos_of, obs_of = dict(zip(labels, pos)), dict(zip(labels, obs))
 
     rng = np.random.default_rng(seed)
-    test_labels, train_labels = _partition_blocks(
-        labels, block_rows, test_fraction, pos_of, obs_of, rng
-    )
-    if not train_labels:
+    test, train = _partition_blocks(np.arange(labels.size), sizes, test_fraction, pos, obs, rng)
+    if not train.size:
         raise ValueError("all blocks assigned to test; too few blocks")
-    val_labels, fit_labels = _partition_blocks(
-        train_labels, block_rows, val_fraction_of_train, pos_of, obs_of, rng
-    )
-    if val_fraction_of_train > 0.0 and (not fit_labels or not val_labels):
+    # the validation draw permutes train in the order the test call returned it
+    val, fit = _partition_blocks(train, sizes, val_fraction_of_train, pos, obs, rng)
+    if val_fraction_of_train > 0.0 and (not fit.size or not val.size):
         raise ValueError("too few blocks to keep train, validation, and test non-empty")
-
-    def rows_of(label_list):
-        if not label_list:
-            return np.array([], dtype=np.int64)
-        return np.sort(np.concatenate([block_rows[lab] for lab in label_list]))
-
     return SplitAssignment(
-        train_rows=rows_of(sorted(train_labels)),
-        test_rows=rows_of(sorted(test_labels)),
-        val_rows=rows_of(sorted(val_labels)),
+        train_rows=np.flatnonzero(np.isin(block_of, train)),
+        test_rows=np.flatnonzero(np.isin(block_of, test)),
+        val_rows=np.flatnonzero(np.isin(block_of, val)),
     )
 
 

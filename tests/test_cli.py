@@ -255,6 +255,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["evaluate", "importance"])
     @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [], "checkpoint is a JSON list, not an object"),
+        (lambda doc: {**doc, "layers": [{**doc["layers"][0], "path": 5}, *doc["layers"][1:]]},
+         "checkpoint layer path 5 is not a string"),
+    ], ids=["top-level-list", "numeric-layer-path"])
+    def test_malformed_checkpoint_json_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                                     command, edit, message):
+        doc = json.loads((pipeline_dir / "ckpt_baseline.json").read_text())
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(edit(doc)))
+        ds_dir, out = pipeline_dir / "dataset", tmp_path / "out.json"
+        assert main([
+            command, "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--ckpt", str(ckpt), "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    @pytest.mark.parametrize("edit, message", [
         (lambda layers: [l for l in layers if not l["path"].startswith("bin.")], "no bin head"),
         (lambda layers: [cut_last_unit(l, "backbone.0", "in_dim") for l in layers],
          "input columns"),
@@ -409,6 +429,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "eval_baseline.json" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda name, m: m if name == "baseline" else {**m, "name": "other"},
+         "models were evaluated on different response sets"),
+        (lambda name, m: {**m, **dict.fromkeys(("rmse", "r2", "f1", "auc"))},
+         "no defined (response, metric) pairs to rank"),
+    ], ids=["different-responses", "no-defined-metric"])
+    def test_unrankable_eval_artifacts_are_data_error(self, pipeline_dir, tmp_path, capsys,
+                                                      edit, message):
+        for p in pipeline_dir.glob("eval_*.json"):
+            doc = json.loads(p.read_text())
+            name = p.stem[len("eval_"):]
+            doc["per_response"] = [edit(name, m) for m in doc["per_response"]]
+            write_json(tmp_path / p.name, doc)
+        assert main(["report", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_split_without_validation_rows_is_data_error(self, pipeline_dir, tmp_path,
+                                                         capsys):
+        ds_dir, out = tmp_path / "ds", tmp_path / "ckpt.json"
+        assert main(["preprocess", "--in", str(pipeline_dir / "raw"), "--out", str(ds_dir),
+                     "--val-fraction", "0"]) == EXIT_OK
+        assert json.loads((ds_dir / "split.json").read_text())["val_rows"] == []
+        assert main([
+            "train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--model", "baseline", "--config", write_json(tmp_path / "t.json", SMALL_TRAIN),
+            "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "empty validation set" in err
+        assert not out.exists()
+
+    def test_split_without_test_rows_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        ds_dir = pipeline_dir / "dataset"
+        doc = json.loads((ds_dir / "split.json").read_text())
+        doc.update(train_rows=sorted(doc["train_rows"] + doc["test_rows"]), test_rows=[],
+                   val_rows=[])
+        split, out = write_json(tmp_path / "split.json", doc), tmp_path / "imp.json"
+        assert main([
+            "importance", "--dataset", str(ds_dir), "--split", split,
+            "--ckpt", str(pipeline_dir / "ckpt_baseline.json"), "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "empty row set" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "preprocess"])
     def test_unwritable_output_is_data_error(self, pipeline_dir, tmp_path, capsys, command):

@@ -8,6 +8,7 @@ import pytest
 from masktab import preprocess
 from masktab.data_model import RawMeta, RawTable, validate
 from masktab.preprocess import (
+    _partition_blocks,
     _refine_partition,
     block_split,
     encode_and_normalise,
@@ -448,6 +449,22 @@ def random_block_layout(seed, k=24):
     return sel, rest, block_rows, pos_of, obs_of, 0.25 * n
 
 
+def refine_labels(sel, rest, block_rows, pos_of, obs_of, cap_sel):
+    """_refine_partition on a label layout: each label becomes its position
+    among the sorted labels, and the returned index arrays become labels."""
+    labels = sorted(block_rows)
+    index = {lab: i for i, lab in enumerate(labels)}
+    got = _refine_partition(
+        np.array([index[lab] for lab in sel], dtype=np.int64),
+        np.array([index[lab] for lab in rest], dtype=np.int64),
+        np.array([len(block_rows[lab]) for lab in labels]),
+        np.vstack([pos_of[lab] for lab in labels]),
+        np.vstack([obs_of[lab] for lab in labels]),
+        cap_sel,
+    )
+    return tuple([labels[i] for i in part] for part in got)
+
+
 class TestSplitIdentity:
     """The split refinement keeps integer side counts incrementally; these pin
     its output to the implementation that re-summed every step."""
@@ -497,7 +514,7 @@ class TestSplitIdentity:
         moved = one_sided = 0
         for seed in range(60):
             sel, rest, block_rows, pos_of, obs_of, cap = random_block_layout(seed)
-            got = _refine_partition(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
+            got = refine_labels(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
             want = _old_refine_partition(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
             assert np.array_equal(np.array(got[0]), np.array(want[0])), seed
             assert np.array_equal(np.array(got[1]), np.array(want[1])), seed
@@ -529,7 +546,7 @@ class TestSplitIdentity:
         for n, (sel, rest, block_rows, pos_of, obs_of, cap) in enumerate(layouts):
             k = len(pos_of[sel[0]])
             monkeypatch.setattr(preprocess, "_SCAN_BYTES", 8 * k * pairs)
-            got = _refine_partition(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
+            got = refine_labels(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
             want = _old_refine_partition(list(sel), list(rest), block_rows, pos_of, obs_of, cap)
             assert got == want, n
         assert want == (["s2", "r1"], ["s1", "r2", "r3", "r4"])  # the first tied swap
@@ -548,6 +565,50 @@ class TestSplitIdentity:
         for seed in range(5):
             split_blocks(*survey0_split_inputs, seed=seed)
         assert preprocess._SCAN_BYTES // 2 < max(stacked) <= preprocess._SCAN_BYTES
+
+
+class TestGreedyTieRules:
+    """The greedy pass's side choice on hand-built layouts. One response,
+    fully observed and never positive, makes every divergence 0, so the
+    relative-deficit and side rules decide; every refinement gap is 0 too,
+    so the refinement keeps the greedy sides. Sizes are distinct where the
+    draw's permutation would otherwise decide the order, and every seed
+    gives the same sides."""
+
+    @staticmethod
+    def greedy(sizes, target_fraction, seed):
+        sizes = np.array(sizes)
+        tally = np.zeros((sizes.size, 1))
+        sel, rest = _partition_blocks(np.arange(sizes.size), sizes, target_fraction,
+                                      tally, tally + sizes[:, None],
+                                      np.random.default_rng(seed))
+        return sorted(sel.tolist()), sorted(rest.tolist())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_full_tie_goes_to_rest(self, seed):
+        # the first block fits both empty sides, each with all its capacity left
+        assert self.greedy([3, 2], 0.5, seed) == ([1], [0])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_divergence_goes_to_the_larger_relative_deficit(self, seed):
+        # capacities 3 and 12: block 0 ties to rest, after which block 1 fits
+        # both sides and goes to sel, all of whose capacity is left, although
+        # rest (half left) has 6 rows of room to sel's 3
+        assert self.greedy([6, 5, 4], 0.2, seed) == ([1], [0, 2])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_side_without_room_for_half_the_block_passes(self, seed):
+        # capacities 1.8 and 16.2: blocks 3, 0 and 1 fit rest alone; then
+        # rest's 1.2 rows of room fall short of half of block 2, which goes
+        # to sel, the side with more room. Neither side can fall short: the
+        # rooms sum to the rows not yet placed, this block's included
+        assert self.greedy([5, 4, 3, 6], 0.1, seed) == ([2], [0, 1, 3])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_empty_selected_side_takes_the_smallest_block(self, seed):
+        # capacity 0.75 holds no half block, so sel ends empty and takes the
+        # smallest block; blocks 1 and 3 tie on size and the lower index wins
+        assert self.greedy([5, 3, 4, 3], 0.05, seed) == ([1], [0, 2, 3])
 
 
 # what split_blocks raises for a layout it cannot split, and nothing else
