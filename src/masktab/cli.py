@@ -23,6 +23,8 @@ from pathlib import Path
 
 from . import __version__, jsonio, nn_core, trainer, vimp
 from .data_model import (
+    DATASET_FILES,
+    RAW_FILES,
     RawTable,
     SplitAssignment,
     csv_line,
@@ -148,7 +150,7 @@ def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
 
 
 # what reading a malformed or missing input file raises
-_UNREADABLE = (KeyError, OSError, StopIteration, TypeError, ValueError, csv.Error)
+_UNREADABLE = (IndexError, KeyError, OSError, StopIteration, TypeError, ValueError, csv.Error)
 
 
 def _preprocess_and_save(raw_dir, out, pre: PreprocessConfig, seed: int):
@@ -226,6 +228,8 @@ def _load_checkpoint(ckpt, ds) -> nn_core.NetworkParams:
 def _evaluate_and_save(ds, split, ckpt, threshold: float, out) -> EvalReport:
     params = _load_checkpoint(ckpt, ds)
     rows = split.test_rows
+    if rows.size == 0:
+        raise DataError("cannot evaluate on the split's test rows: empty row set")
     cont_hat, bin_prob = trainer.predict(params, ds.X[rows])
     report = evaluate_predictions(
         ds.Y_cont[rows], ds.Y_bin[rows], ds.M[rows], cont_hat, bin_prob,
@@ -502,7 +506,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     gen_fp = _fingerprint(synth_cfg.to_dict())
     _run_stage(
         manifest, force, "generate", gen_fp,
-        [raw_dir / n for n in ("raw.csv", "responses.csv", "loq.json", "meta.json")],
+        [raw_dir / n for n in RAW_FILES],
         lambda: _generate_and_save(synth_cfg, raw_dir),
     )
 
@@ -511,13 +515,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     )
     _run_stage(
         manifest, force, "preprocess", pre_fp,
-        [
-            ds_dir / n
-            for n in (
-                "features.csv", "responses_cont.csv", "responses_bin.csv", "mask.csv",
-                "blocks.csv", "schema.json", "split.json", "preprocess_report.json",
-            )
-        ],
+        [ds_dir / n for n in (*DATASET_FILES, "split.json", "preprocess_report.json")],
         lambda: _preprocess_and_save(raw_dir, ds_dir, cfg.preprocess, stage_seeds["preprocess"]),
     )
 

@@ -30,6 +30,8 @@ RESPONSES_BIN_FILE = "responses_bin.csv"
 MASK_FILE = "mask.csv"
 BLOCKS_FILE = "blocks.csv"
 SCHEMA_FILE = "schema.json"
+DATASET_FILES = (FEATURES_FILE, RESPONSES_CONT_FILE, RESPONSES_BIN_FILE, MASK_FILE, BLOCKS_FILE,
+                 SCHEMA_FILE)
 
 
 def block_label(site: str, year) -> str:
@@ -218,22 +220,20 @@ class SplitAssignment(jsonio.Document):
         if not val <= train:
             v.append("validation rows are not a subset of training rows")
         if blocks is not None:
-            if train | test != set(range(len(blocks))):
+            n = len(blocks)
+            outside = sorted(r for r in train | test | val if not 0 <= r < n)
+            if outside:  # such a row has no block to check
+                v.append(f"row {outside[0]} lies outside the dataset's {n} rows")
+                return v
+            if train | test != set(range(n)):
                 v.append("train and test do not cover all rows")
-            parts = {
-                "train": sorted(train - val),
-                "val": sorted(val),
-                "test": sorted(test),
-            }
             seen: dict[str, str] = {}
-            for part, rows in parts.items():
-                for r in rows:
+            for part, rows in (("train", train - val), ("val", val), ("test", test)):
+                for r in sorted(rows):
                     label = blocks[r]
-                    if label in seen and seen[label] != part:
+                    if seen.get(label, part) != part:
                         v.append(f"block {label!r} spans {seen[label]} and {part}")
-                        seen[label] = part  # report each leaking block once
-                    else:
-                        seen[label] = part
+                    seen[label] = part  # report each leaking block once
         return v
 
 
@@ -363,9 +363,9 @@ def _raw_lines(columns: dict[str, np.ndarray]):
         yield template % tuple(row) if ok else ",".join(row) + "\n"
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and rows; a row whose cell count differs from the header's is
-    rejected with its file and line."""
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and a (rows, width) object array of string cells; a row whose
+    cell count differs from the header's is rejected with its file and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
@@ -375,14 +375,13 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
                 raise ValueError(f"{path} line {r.line_num}: {len(row)} cells, "
                                  f"the header has {len(header)}")
             rows.append(row)
-        return header, rows
+        return header, np.array(rows, dtype=object).reshape(len(rows), len(header))
 
 
-def _float_matrix(rows: list[list[str]]) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=np.float64)
-    for i, row in enumerate(rows):
-        out[i] = [math.nan if c == "" else float(c) for c in row]
-    return out
+def _floats(cells: np.ndarray) -> np.ndarray:
+    """String cells as float64: an empty cell is NaN, any other reads as
+    ``float`` reads it (the object cast calls ``float`` on each cell)."""
+    return np.where(cells == "", "nan", cells).astype(np.float64)
 
 
 def _nonblank(lines):
@@ -423,8 +422,8 @@ def _read_matrix(path) -> tuple[list[str], np.ndarray]:
         matrix = _parse_body(fh, len(header))
     if matrix is not None:
         return header, matrix
-    header, rows = _read_csv(path)
-    return header, _float_matrix(rows)
+    header, cells = _read_csv(path)
+    return header, _floats(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +450,13 @@ def load_dataset(in_dir) -> TabularDataset:
     cont_header, Y_cont = _read_matrix(src / RESPONSES_CONT_FILE)
     _, Y_bin = _read_matrix(src / RESPONSES_BIN_FILE)
     _, M = _read_matrix(src / MASK_FILE)
-    _, block_rows = _read_csv(src / BLOCKS_FILE)
+    _, block_cells = _read_csv(src / BLOCKS_FILE)
     return TabularDataset(
         X=X,
         Y_cont=Y_cont,
         Y_bin=Y_bin,
         M=M,
-        blocks=np.array([r[0] for r in block_rows], dtype=object),
+        blocks=block_cells[:, 0],
         schema=schema,
         response_names=tuple(cont_header),
     )
@@ -471,6 +470,7 @@ RAW_FILE = "raw.csv"
 RAW_RESPONSES_FILE = "responses.csv"
 RAW_LOQ_FILE = "loq.json"
 RAW_META_FILE = "meta.json"
+RAW_FILES = (RAW_FILE, RAW_RESPONSES_FILE, RAW_LOQ_FILE, RAW_META_FILE)
 
 
 def save_raw_table(raw: RawTable, out_dir) -> None:
@@ -485,7 +485,7 @@ def save_raw_table(raw: RawTable, out_dir) -> None:
 def load_raw_table(in_dir) -> RawTable:
     src = Path(in_dir)
     meta = RawMeta.load(src / RAW_META_FILE)
-    header, rows = _read_csv(src / RAW_FILE)
+    header, cells = _read_csv(src / RAW_FILE)
     numeric = {*meta.continuous_columns, *meta.day_of_year_columns, *meta.temperature_lag_columns,
                *meta.dew_point_lag_columns, *meta.precipitation_lag_columns}
     named = {meta.site_column, meta.year_column, *meta.categorical_columns,
@@ -494,19 +494,12 @@ def load_raw_table(in_dir) -> RawTable:
     if absent:
         raise ValueError(f"{src / RAW_FILE} has no column {absent[0]!r}, which "
                          f"{RAW_META_FILE} names")
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        if name in numeric:
-            columns[name] = np.array(
-                [math.nan if c == "" else float(c) for c in cells], dtype=np.float64
-            )
-        else:
-            columns[name] = np.array([c if c != "" else None for c in cells], dtype=object)
+    columns = {name: _floats(col) if name in numeric else np.where(col == "", None, col)
+               for name, col in zip(header, cells.T)}
     resp_header, responses = _read_matrix(src / RAW_RESPONSES_FILE)
-    if len(responses) != len(rows):
+    if len(responses) != len(cells):
         raise ValueError(f"{src / RAW_RESPONSES_FILE} has {len(responses)} rows, "
-                         f"{RAW_FILE} has {len(rows)}")
+                         f"{RAW_FILE} has {len(cells)}")
     loq_map = jsonio.load(src / RAW_LOQ_FILE)
     return RawTable(
         columns=columns,

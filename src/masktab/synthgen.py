@@ -194,27 +194,23 @@ def _standardise(v: np.ndarray) -> np.ndarray:
 
 def _inject_block_missingness(
     responses: np.ndarray,
-    blocks: np.ndarray,
+    block_of: np.ndarray,
     targets: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Blank whole location-year blocks per response until targets are met."""
+    """Blank whole location-year blocks per response until targets are met;
+    ``block_of`` holds each row's block index."""
     n = responses.shape[0]
-    block_rows: dict[str, list[int]] = {}
-    for i, lab in enumerate(blocks):
-        block_rows.setdefault(lab, []).append(i)
-    labels = sorted(block_rows)
-    max_share = max(len(r) for r in block_rows.values()) / n
+    sizes = np.bincount(block_of).tolist()
+    max_share = max(sizes) / n
     for k, target in enumerate(targets):
         if target == 0.0:
             continue
-        order = rng.permutation(len(labels))
         missing = 0
-        for j in order:
-            rows = block_rows[labels[j]]
-            if abs((missing + len(rows)) / n - target) < abs(missing / n - target):
-                responses[rows, k] = np.nan
-                missing += len(rows)
+        for j in rng.permutation(len(sizes)):
+            if abs((missing + sizes[j]) / n - target) < abs(missing / n - target):
+                responses[block_of == j, k] = np.nan
+                missing += sizes[j]
         realised = missing / n
         if abs(realised - target) > max(0.02, max_share):
             raise ValueError(
@@ -250,31 +246,24 @@ def generate(cfg: SynthConfig) -> RawTable:
         [block_label(f"site_{s:03d}", y) for s, y in zip(row_site, row_year)], dtype=object
     )
 
-    # Block-level draws: one harvest window and one weather history per block,
-    # shared by all samples from that location-year.
-    block_ids = sorted(set(blocks))
-    block_weather: dict[str, dict[str, np.ndarray]] = {}
-    block_harvest: dict[str, float] = {}
-    for lab in block_ids:
-        site_idx = int(lab.split("|")[0].split("_")[1])
-        harvest = float(np.clip(rng.normal(228.0, 9.0), 200.0, 260.0))
-        days = harvest - np.arange(1, lag + 1)
+    # Block-level draws, in label order: one harvest window and one weather
+    # history per block, shared by all samples from that location-year.
+    _, first_row, block_of = np.unique(blocks, return_index=True, return_inverse=True)
+    harvest_day = np.empty(len(first_row))
+    temp, dew, precip = (np.empty((len(first_row), lag)) for _ in range(3))
+    for j, site in enumerate(row_site[first_row]):
+        harvest_day[j] = np.clip(rng.normal(228.0, 9.0), 200.0, 260.0)
+        days = harvest_day[j] - np.arange(1, lag + 1)
         seasonal = 10.0 + 7.0 * np.sin(2.0 * np.pi * (days - 105.0) / 365.0)
-        temp = seasonal + site_temp_offset[site_idx] + _ar1(rng, lag, 0.75, 1.2)
+        temp[j] = seasonal + site_temp_offset[site] + _ar1(rng, lag, 0.75, 1.2)
         spread = np.clip(
-            2.2 + site_dryness[site_idx] + rng.normal(0.0, 0.5) + _ar1(rng, lag, 0.7, 0.6),
+            2.2 + site_dryness[site] + rng.normal(0.0, 0.5) + _ar1(rng, lag, 0.7, 0.6),
             0.2, None,
         )
-        dew = temp - spread
-        precip = np.clip(np.exp(0.6 * _ar1(rng, lag, 0.5, 1.0)) - 0.55, 0.0, None)
-        precip = 4.0 * site_wetness[site_idx] * precip
-        block_harvest[lab] = harvest
-        block_weather[lab] = {"temp": temp, "dew": dew, "precip": precip}
-
-    temp_lags = np.vstack([block_weather[b]["temp"] for b in blocks])
-    dew_lags = np.vstack([block_weather[b]["dew"] for b in blocks])
-    precip_lags = np.vstack([block_weather[b]["precip"] for b in blocks])
-    harvest_doy = np.array([block_harvest[b] for b in blocks])
+        dew[j] = temp[j] - spread
+        rain = np.clip(np.exp(0.6 * _ar1(rng, lag, 0.5, 1.0)) - 0.55, 0.0, None)
+        precip[j] = 4.0 * site_wetness[site] * rain
+    temp_lags, dew_lags, precip_lags = temp[block_of], dew[block_of], precip[block_of]
 
     # Row-level agronomics.
     ideotype = rng.choice(CATEGORICAL_LEVELS["sowing_ideotype"], size=n, p=[0.55, 0.45])
@@ -294,7 +283,7 @@ def generate(cfg: SynthConfig) -> RawTable:
         "yield": np.clip(rng.normal(7.2, 1.3, size=n), 1.0, None),
         "seed_moisture": np.clip(rng.normal(14.5, 1.8, size=n), 8.0, None),
         "sowing_doy": sowing,
-        "harvest_doy": harvest_doy,
+        "harvest_doy": harvest_day[block_of],
         "county": np.array(
             [_nearest_county(site_lat[s], site_lon[s]) for s in row_site], dtype=object
         ),
@@ -370,7 +359,7 @@ def generate(cfg: SynthConfig) -> RawTable:
         conc[above] = scales[k] * np.expm1(cfg.concentration_slope * (latent[above] - threshold))
         responses[:, k] = conc
 
-    _inject_block_missingness(responses, blocks, miss, rng)
+    _inject_block_missingness(responses, block_of, miss, rng)
 
     meta = RawMeta(
         site_column="site_id",

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from masktab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main, run_pipeline
-from masktab.data_model import _float_matrix, _parse_body, _read_csv, _read_matrix
+from masktab.data_model import _floats, _parse_body, _read_csv, _read_matrix
 
 SEED = 20261019
 N_CASES = 224  # each (file, damage) pair 4 times
@@ -113,8 +113,8 @@ def artifacts(tmp_path_factory):
 
 
 def _csv_path(path):
-    header, rows = _read_csv(path)
-    return header, _float_matrix(rows)
+    header, cells = _read_csv(path)
+    return header, _floats(cells)
 
 
 def _outcome(read, path):

@@ -42,6 +42,55 @@ SMALL_PIPELINE = {
     "importance": {"mode": "grouped", "repeats": 3},
 }
 
+# sha256 of every file `masktab generate --config {"seed": s}` and `masktab
+# preprocess --seed s` write at default sizes, recorded before the generator
+# drew by block index and the readers cast object arrays of cells. Neither
+# stage calls BLAS, so these bytes hold at any thread count
+STAGE_SHA256 = {
+    0: {
+        "loq.json": "285b7218719be344fade6d6e229bcb6fa4b6fdb208f4e0b7aa8fb613779f052a",
+        "meta.json": "da5850a6527982de558844354f257f2e86915e8b6aa2174799d9a816ac0a3cec",
+        "raw.csv": "54618cd66d6720c4eac90ee440f9e59f5211f72b0a4fb4679c6e1016158203d0",
+        "responses.csv": "1fb9e361502e5d355d6d55d85b45e1da810d02cfcc23ae081ed644eb7800e1aa",
+        "blocks.csv": "bbba189e58f5968d1f1ad5f72c7c4fbe9ebb212a5723cfb8773acfd1ef705c60",
+        "features.csv": "bd8a235fabf9b0c080d4aa01083a24835af59cd2515f8f78d6caa215597f79da",
+        "mask.csv": "f94925ab572e8611d5887a3146ce57968fa05ca1a045b3d4c5ebbb169f48f4fd",
+        "preprocess_report.json": "37a138223aa93793a053bcfe52a7e9b814c3d0ea3740774a302c676011343d0c",
+        "responses_bin.csv": "539c5a98d36f7a27028b27fa4069bddd98e57223a05c7ece53f661b0a1d4b34f",
+        "responses_cont.csv": "e5fdb31eaf275c660dc36c0f8183649ad72e5d533350f4181052f5d2b2791401",
+        "schema.json": "849e6ce8801c1dab63068f061a8f6e0ab9427e951658f3f2e41dd8871c2907dc",
+        "split.json": "0e40fc51ecba9d2bbc4be03a0e781b1dcd4861b7165bc6b27d3b7c920159aa2c",
+    },
+    1: {
+        "loq.json": "285b7218719be344fade6d6e229bcb6fa4b6fdb208f4e0b7aa8fb613779f052a",
+        "meta.json": "da5850a6527982de558844354f257f2e86915e8b6aa2174799d9a816ac0a3cec",
+        "raw.csv": "43e129683af584accd5037022bb9dba7f9ad0efd07103a653a04d1aeb0230657",
+        "responses.csv": "264c9846fd1f245fae36ae2fe30be378df958fa7f365586226c69ca715ccbb21",
+        "blocks.csv": "b42f927f83fafe0856e5fe798b245d07921990d25631bc8f36ea853d5c893762",
+        "features.csv": "b9d4df3464897897267a98de0c2e960b6b56e9c88777a6b73082d4b091b5b71d",
+        "mask.csv": "35b34154e7195d65c14b987ec64f8c232a2b39619ef3b5878d0b64cb05fb6f3c",
+        "preprocess_report.json": "564c543419d6cd93b413d62691dd0777b8f024766a82e27cb7444cbf56cbb4e9",
+        "responses_bin.csv": "b16e2666896876eb1ad0523d778e58676ebae8e4a8e78299c48aefd9844eaab0",
+        "responses_cont.csv": "e1c5a653a9464dafe519e18ccec60b335c049b7f02f6914c93b16346bf3f06bf",
+        "schema.json": "4de13b154c2534a77e2a2d355923e5a60a7afe819724af21c193ed7fb06c77ab",
+        "split.json": "6dc1b7e3990d726a36e8ad3e334778bc03213eac9ae13f7d355bab98a383d6ff",
+    },
+    2: {
+        "loq.json": "285b7218719be344fade6d6e229bcb6fa4b6fdb208f4e0b7aa8fb613779f052a",
+        "meta.json": "da5850a6527982de558844354f257f2e86915e8b6aa2174799d9a816ac0a3cec",
+        "raw.csv": "9647d6cfe5ce054217ecee94e956333c1e050b16f4fbd3917694a7ca0c6be6c4",
+        "responses.csv": "792be4d69c4dbc560f9da43bc5f4cddac469551d1ce62e3be7b6e0f608f6bc89",
+        "blocks.csv": "b6afd016cea157ef911efd016abc5b1f8c19094ec166fa30bb9f227adf6ad97d",
+        "features.csv": "1b0c234b0630bfd8f88130e8ce10a941d97a2026d83a8875e659ee61f3abd186",
+        "mask.csv": "37eb63f95ce7b51f2f3d59ac34e993aacdb6ddfc6e2b002f0b196f6bb5a5aa7b",
+        "preprocess_report.json": "3c7897354df7a5908ef7d63e18a2ba5d8f814ca194676493ac2fedf60c0c9c5e",
+        "responses_bin.csv": "62798e17cae2a18a731560266f241b730803c57ca8b061202debe993ea06cdc6",
+        "responses_cont.csv": "203e12cd503476f2baed2337b131351d387fbe2a69915f2046e514640a957f8d",
+        "schema.json": "4de13b154c2534a77e2a2d355923e5a60a7afe819724af21c193ed7fb06c77ab",
+        "split.json": "7461c5cfb7d45b50ab6ed34257a77bb567aba8b4809eb9868c62ec6ce3756d89",
+    },
+}
+
 
 def write_json(path, obj):
     jsonio.dump(obj, path)
@@ -133,6 +182,18 @@ class TestStageCommands:
         assert main(["report", str(art)]) == EXIT_OK
         doc = json.loads((art / "report.json").read_text())
         assert doc["ranking"]["win_percentages"]["only"] == 100.0
+
+
+class TestStageBytes:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generate_and_preprocess_files_match_recorded_sha256(self, tmp_path, seed):
+        raw_dir, ds_dir = tmp_path / "raw", tmp_path / "dataset"
+        cfg = write_json(tmp_path / "synth.json", {"seed": seed})
+        assert main(["generate", "--config", cfg, "--out", str(raw_dir)]) == EXIT_OK
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(ds_dir),
+                     "--seed", str(seed)]) == EXIT_OK
+        written = {p.name: sha256_file(p) for d in (raw_dir, ds_dir) for p in d.iterdir()}
+        assert written == STAGE_SHA256[seed]
 
 
 class TestExitCodes:
@@ -319,7 +380,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("damage, named", [
         (lambda d: (d / "mask.csv").unlink(), "mask.csv"),
         (lambda d: (d / "features.csv").write_text(""), "dataset"),
-    ], ids=["missing-mask", "empty-features"])
+        (lambda d: (d / "blocks.csv").write_text("\n\n"), "dataset"),
+    ], ids=["missing-mask", "empty-features", "blank-blocks"])
     def test_unreadable_dataset_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                               damage, named):
         ds_dir = tmp_path / "dataset"
@@ -475,6 +537,35 @@ class TestExitCodes:
         ]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "empty row set" in err
+        assert not out.exists()
+
+    def test_evaluate_without_test_rows_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        ds_dir = pipeline_dir / "dataset"
+        doc = json.loads((ds_dir / "split.json").read_text())
+        doc.update(train_rows=sorted(doc["train_rows"] + doc["test_rows"]), test_rows=[])
+        split, out = write_json(tmp_path / "split.json", doc), tmp_path / "eval.json"
+        assert main([
+            "evaluate", "--dataset", str(ds_dir), "--split", split,
+            "--ckpt", str(pipeline_dir / "ckpt_baseline.json"), "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "empty row set" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", [10000, -1], ids=["past-the-end", "negative"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "importance"])
+    def test_split_row_outside_the_dataset_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                                         command, row):
+        ds_dir = pipeline_dir / "dataset"
+        doc = json.loads((ds_dir / "split.json").read_text())
+        doc["test_rows"].append(row)
+        split, out = write_json(tmp_path / "split.json", doc), tmp_path / "out.json"
+        argv = ["--model", "baseline"] if command == "train" else [
+            "--ckpt", str(pipeline_dir / "ckpt_baseline.json")]
+        assert main([command, "--dataset", str(ds_dir), "--split", split, *argv,
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and f"row {row} lies outside" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "preprocess"])

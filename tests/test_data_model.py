@@ -13,7 +13,7 @@ from masktab.data_model import (
     RawMeta,
     RawTable,
     SplitAssignment,
-    _float_matrix,
+    _floats,
     _matrix_lines,
     _parse_body,
     _raw_lines,
@@ -113,6 +113,12 @@ class TestSplitAssignment:
         split = SplitAssignment(train_rows=[0, 1, 2, 3], test_rows=[4, 5], val_rows=[2, 3])
         assert split.violations(blocks) == []
 
+    @pytest.mark.parametrize("row", [6, 10000, -1], ids=["at-the-end", "far-past", "negative"])
+    def test_row_outside_the_dataset_is_a_violation(self, row):
+        blocks = np.array(["a", "a", "b", "b", "c", "c"], dtype=object)
+        split = SplitAssignment(train_rows=[0, 1, 2, 3], test_rows=[4, 5, row], val_rows=[2, 3])
+        assert split.violations(blocks) == [f"row {row} lies outside the dataset's 6 rows"]
+
     def test_val_must_be_subset(self):
         split = SplitAssignment(train_rows=[0, 1], test_rows=[2], val_rows=[2])
         assert any("subset" in s for s in split.violations())
@@ -175,8 +181,8 @@ class TestCsvOracle:
         path = tmp_path / "m.csv"
         write_csv(path, header, _matrix_lines(m))
         assert path.read_bytes() == _oracle_csv(header, m)
-        csv_header, rows = _read_csv(path)
-        assert np.array_equal(_bits(_float_matrix(rows)), _bits(m))
+        csv_header, cells = _read_csv(path)
+        assert np.array_equal(_bits(_floats(cells)), _bits(m))
         got_header, back = _read_matrix(path)
         assert got_header == csv_header == header
         assert np.array_equal(_bits(back), _bits(m))
