@@ -14,6 +14,7 @@ sentinel.
 import csv
 import itertools
 import math
+import numbers
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -192,6 +193,22 @@ def validate(ds: TabularDataset) -> list[str]:
     return v
 
 
+def _row_indices(name: str, rows) -> np.ndarray:
+    """rows as an int64 array, refusing any row that is not an integer: a
+    cast would read 12.5 as row 12, "12" as 12 and true as 1."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        return rows.astype(np.int64, copy=False)  # a built split: no per-row walk
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"{name} must be a list of integer row indices, got {rows!r}")
+    for r in rows:
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+            raise ValueError(f"{name} holds {r!r}, which is not an integer row index")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} holds a row index past the int64 range") from None
+
+
 @dataclass
 class SplitAssignment(jsonio.Document):
     """Row partition; validation rows are a subset of training rows."""
@@ -201,9 +218,9 @@ class SplitAssignment(jsonio.Document):
     val_rows: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
     def __post_init__(self):
-        self.train_rows = np.asarray(self.train_rows, dtype=np.int64)
-        self.test_rows = np.asarray(self.test_rows, dtype=np.int64)
-        self.val_rows = np.asarray(self.val_rows, dtype=np.int64)
+        self.train_rows = _row_indices("train_rows", self.train_rows)
+        self.test_rows = _row_indices("test_rows", self.test_rows)
+        self.val_rows = _row_indices("val_rows", self.val_rows)
 
     @property
     def fit_rows(self) -> np.ndarray:
@@ -212,6 +229,13 @@ class SplitAssignment(jsonio.Document):
 
     def violations(self, blocks: np.ndarray | None = None) -> list[str]:
         v = []
+        for name in ("train_rows", "test_rows", "val_rows"):
+            rows = getattr(self, name)
+            _, first = np.unique(rows, return_index=True)
+            if first.size < rows.size:  # the first position that is no first occurrence
+                repeat = np.ones(rows.size, dtype=bool)
+                repeat[first] = False
+                v.append(f"{name} repeats row {rows[np.argmax(repeat)]}")
         train = set(self.train_rows.tolist())
         test = set(self.test_rows.tolist())
         val = set(self.val_rows.tolist())

@@ -285,7 +285,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit", [
         lambda d: d.update(train_row=d.pop("train_rows")),
         lambda d: d.update(test_rows="all"),
-    ], ids=["unknown-key", "rows-not-a-list"])
+        # a cast would read row x + 0.5 as x, and "x" as x
+        lambda d: d["train_rows"].append(d["train_rows"].pop() + 0.5),
+        lambda d: d["test_rows"].append(str(d["test_rows"].pop())),
+    ], ids=["unknown-key", "rows-not-a-list", "half-row", "string-row"])
     def test_malformed_split_is_data_error(self, pipeline_dir, tmp_path, capsys, edit):
         doc = json.loads((pipeline_dir / "dataset" / "split.json").read_text())
         edit(doc)
@@ -566,6 +569,24 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and f"row {row} lies outside" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, rows", [("evaluate", "test_rows"), ("train", "val_rows")])
+    def test_repeated_split_row_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                              command, rows):
+        # a repeated row would silently weigh twice in the metrics or the
+        # validation loss
+        ds_dir = pipeline_dir / "dataset"
+        doc = json.loads((ds_dir / "split.json").read_text())
+        repeated = doc[rows][:3] if command == "evaluate" else doc[rows][:1]
+        doc[rows] = doc[rows] + repeated
+        split, out = write_json(tmp_path / "split.json", doc), tmp_path / "out.json"
+        argv = ["--model", "baseline"] if command == "train" else [
+            "--ckpt", str(pipeline_dir / "ckpt_baseline.json")]
+        assert main([command, "--dataset", str(ds_dir), "--split", split, *argv,
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{rows} repeats row {repeated[0]}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "preprocess"])

@@ -119,6 +119,43 @@ class TestSplitAssignment:
         split = SplitAssignment(train_rows=[0, 1, 2, 3], test_rows=[4, 5, row], val_rows=[2, 3])
         assert split.violations(blocks) == [f"row {row} lies outside the dataset's 6 rows"]
 
+    @pytest.mark.parametrize("rows", ["train_rows", "test_rows", "val_rows"])
+    def test_repeated_row_is_a_violation(self, rows):
+        blocks = np.array(["a", "a", "b", "b", "c", "c"], dtype=object)
+        parts = {"train_rows": [0, 1, 2, 3], "test_rows": [4, 5], "val_rows": [2, 3]}
+        parts[rows] = parts[rows] + parts[rows][::-1]  # the last row repeats first
+        split = SplitAssignment(**parts)
+        want = f"{rows} repeats row {parts[rows][len(parts[rows]) // 2]}"
+        assert split.violations(blocks) == [want]
+        assert split.violations() == [want]
+
+    @pytest.mark.parametrize("row", [True, 12.5, 12.0, "12", None, [12]],
+                             ids=["bool", "float", "whole-float", "string", "null", "list"])
+    @pytest.mark.parametrize("rows", ["train_rows", "test_rows", "val_rows"])
+    def test_non_integer_row_is_rejected(self, rows, row):
+        parts = {"train_rows": [0, 1, 2, 3], "test_rows": [4, 5], "val_rows": [2, 3]}
+        parts[rows] = parts[rows] + [row]
+        with pytest.raises(ValueError, match=f"^{rows} holds "):
+            SplitAssignment(**parts)
+
+    @pytest.mark.parametrize("rows", [np.array([0.0, 1.0]), np.array([True, False]),
+                                      np.array(["0", "1"]), "01", 3],
+                             ids=["float-array", "bool-array", "string-array", "string", "int"])
+    def test_rows_that_are_no_list_of_integers_are_rejected(self, rows):
+        with pytest.raises(ValueError, match="^test_rows "):
+            SplitAssignment(train_rows=[2, 3], test_rows=rows)
+
+    def test_integer_rows_are_kept_without_a_copy(self):
+        train = np.arange(4, dtype=np.int64)
+        split = SplitAssignment(train_rows=train, test_rows=np.arange(4, 6, dtype=np.int32))
+        assert split.train_rows is train
+        assert split.test_rows.dtype == np.int64 and split.test_rows.tolist() == [4, 5]
+        assert split.val_rows.dtype == np.int64 and split.val_rows.size == 0
+
+    def test_row_past_int64_is_rejected(self):
+        with pytest.raises(ValueError, match="^test_rows holds a row index past"):
+            SplitAssignment(train_rows=[0], test_rows=[2**70])
+
     def test_val_must_be_subset(self):
         split = SplitAssignment(train_rows=[0, 1], test_rows=[2], val_rows=[2])
         assert any("subset" in s for s in split.violations())

@@ -304,6 +304,7 @@ class TestBlockSplit:
         ("mask nan", r"mask cell \(7,1\) is nan, not 0 or 1"),
         ("y_bin nan observed", r"observed y_bin cell \(9,2\) is nan, not 0 or 1"),
         ("y_bin count", r"observed y_bin cell \(9,2\) is 2.0, not 0 or 1"),
+        ("no responses", r"no response columns: shape \(300, 0\)"),
     ])
     def test_mismatched_or_non_binary_inputs_rejected(self, case, message):
         blocks, y, m = self.equal_blocks(n_blocks=30, rows_per_block=10)
@@ -323,6 +324,7 @@ class TestBlockSplit:
             "mask nan": (blocks, y, cell(m, 7, 1, np.nan)),
             "y_bin nan observed": (blocks, cell(y, 9, 2, np.nan), m),
             "y_bin count": (blocks, cell(y, 9, 2, 2.0), m),
+            "no responses": (blocks, np.zeros((300, 0)), np.zeros((300, 0))),
         }[case]
         with pytest.raises(ValueError, match=message):
             split_blocks(*bad)
@@ -565,6 +567,38 @@ class TestSplitIdentity:
         for seed in range(5):
             split_blocks(*survey0_split_inputs, seed=seed)
         assert preprocess._SCAN_BYTES // 2 < max(stacked) <= preprocess._SCAN_BYTES
+
+
+def test_swap_screen_keeps_every_pair_that_can_win():
+    """On random layouts, window grids and thresholds, the swap screen keeps
+    every pair whose full objective is below the threshold, keeps only pairs
+    in the grid, and returns them in row-major order. Thresholds are drawn
+    from the pairs' own objectives, so some pairs sit exactly on one."""
+    dropped = 0
+    for seed in range(60):
+        sel, rest, block_rows, pos_of, obs_of, _ = random_block_layout(seed)
+        labels = sorted(block_rows)
+        pos = np.vstack([pos_of[lab] for lab in labels])
+        obs = np.vstack([obs_of[lab] for lab in labels])
+        si = np.sort([labels.index(lab) for lab in sel])
+        ri = np.sort([labels.index(lab) for lab in rest])
+        sp, so = pos[si].sum(axis=0), obs[si].sum(axis=0)
+        tot_p, tot_o = pos.sum(axis=0), obs.sum(axis=0)
+        rng = np.random.default_rng(seed)
+        fits = rng.random((si.size, ri.size)) < rng.uniform(0.3, 1.0)
+        a_all, b_all = np.nonzero(fits)
+        objs = preprocess._gap_objective(sp - pos[si[a_all]] + pos[ri[b_all]],
+                                         so - obs[si[a_all]] + obs[ri[b_all]], tot_p, tot_o)
+        for threshold in [*rng.choice(objs, size=3), rng.uniform(objs.min(), objs.max())]:
+            a, b = preprocess._screen_swaps(fits, si, ri, sp, so, pos, obs,
+                                            tot_p, tot_o, threshold)
+            flat = a * ri.size + b
+            assert np.all(np.diff(flat) > 0), seed
+            assert fits[a, b].all(), seed
+            must = (a_all * ri.size + b_all)[objs < threshold]
+            assert np.isin(must, flat).all(), (seed, threshold)
+            dropped += a_all.size - a.size
+    assert dropped  # the screen does drop pairs
 
 
 class TestGreedyTieRules:
