@@ -46,7 +46,6 @@ from .nn_core import (  # noqa: F401
 from .preprocess import (  # noqa: F401
     PreprocessConfig,
     PreprocessReport,
-    block_split,
     encode_and_normalise,
     encode_day_of_year,
     preprocess_raw,

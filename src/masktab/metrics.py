@@ -161,7 +161,7 @@ def evaluate_predictions(
                 r2=r2,
                 f1=f1,
                 auc=auc,
-                flags=r_flags + c_flags,
+                flags=list(dict.fromkeys(r_flags + c_flags)),  # each flag once
             )
         )
     return EvalReport(per_response=per_response)

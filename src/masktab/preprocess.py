@@ -154,78 +154,72 @@ def _is_missing_obj(v) -> bool:
     return str(v).strip() == ""
 
 
+def _mode(labels: np.ndarray):
+    """The most frequent label; np.unique sorts, so ties go to the smallest."""
+    levels, counts = np.unique(labels, return_counts=True)
+    return levels[np.argmax(counts)]
+
+
 class _Builder:
     """Accumulates encoded columns and schema entries in a fixed order."""
 
-    def __init__(self, n_rows: int, train_rows: np.ndarray, report: PreprocessReport):
-        self.n = n_rows
+    def __init__(self, train_rows: np.ndarray, report: PreprocessReport):
         self.train_rows = train_rows
         self.report = report
         self.columns: list[np.ndarray] = []
         self.entries: list[SchemaEntry] = []
 
+    def impute(self, name: str, values: np.ndarray, missing: np.ndarray, fill):
+        """values with every missing cell set to fill(known training values),
+        or None once name is recorded as dropped: more than 95% missing, or
+        missing on every training row."""
+        if missing.mean() > SPARSE_THRESHOLD:
+            self.report.columns_dropped[name] = "sparse>95%"
+            return None
+        known = values[self.train_rows][~missing[self.train_rows]]
+        if not known.size:
+            self.report.columns_dropped[name] = "unimputable"
+            return None
+        if missing.any():
+            values = np.where(missing, fill(known), values)
+            self.report.imputation_counts[name] = int(missing.sum())
+        return values
+
+    def _add(self, column: np.ndarray, name: str, kind: str, level: str | None = None) -> None:
+        self.entries.append(SchemaEntry(column_index=len(self.columns), original_variable=name,
+                                        kind=kind, group_id=name, level_label=level))
+        self.columns.append(column)
+
     def add_continuous(self, name: str, values: np.ndarray) -> None:
         """Impute with the training median, z-score with training statistics."""
         vals = np.asarray(values, dtype=np.float64)
-        missing = np.isnan(vals)
-        if missing.mean() > SPARSE_THRESHOLD:
-            self.report.columns_dropped[name] = "sparse>95%"
+        vals = self.impute(name, vals, np.isnan(vals), np.median)
+        if vals is None:
             return
-        train_vals = vals[self.train_rows]
-        known = train_vals[~np.isnan(train_vals)]
-        if known.size == 0:
-            self.report.columns_dropped[name] = "unimputable"
-            return
-        if missing.any():
-            vals = np.where(missing, float(np.median(known)), vals)
-            self.report.imputation_counts[name] = int(missing.sum())
         mean = float(vals[self.train_rows].mean())
         std = float(vals[self.train_rows].std())  # population stdev
         if std == 0.0:
             self.report.columns_dropped[name] = "constant"
             return
         self.report.normalisation_stats[name] = NormStats(mean, std)
-        idx = len(self.columns)
-        self.columns.append((vals - mean) / std)
-        self.entries.append(
-            SchemaEntry(column_index=idx, original_variable=name, kind="continuous", group_id=name)
-        )
+        self._add((vals - mean) / std, name, "continuous")
 
-    def add_categorical(self, name: str, values: np.ndarray) -> None:
-        """Impute with the training mode, expand to one indicator per level."""
-        vals = np.array(list(values), dtype=object)
-        missing = np.array([_is_missing_obj(v) for v in vals])
-        if missing.mean() > SPARSE_THRESHOLD:
-            self.report.columns_dropped[name] = "sparse>95%"
+    def add_categorical(self, name: str, values) -> None:
+        """Impute with the training mode, expand to one indicator per level.
+
+        A value is its str: levels sort and compare as text."""
+        values = list(values)
+        labels = self.impute(name, np.array([str(v) for v in values], dtype=object),
+                             np.array([_is_missing_obj(v) for v in values]), _mode)
+        if labels is None:
             return
-        train_vals = [v for v, miss in zip(vals[self.train_rows], missing[self.train_rows]) if not miss]
-        if not train_vals:
-            self.report.columns_dropped[name] = "unimputable"
-            return
-        if missing.any():
-            levels_train, counts = np.unique(np.array(train_vals, dtype=object), return_counts=True)
-            # deterministic mode: highest count, ties to the smallest label
-            mode = sorted(zip(-counts, [str(l) for l in levels_train]))[0][1]
-            vals = np.where(missing, mode, vals.astype(str)).astype(object)
-            self.report.imputation_counts[name] = int(missing.sum())
-        levels = sorted({str(v) for v in vals})
-        for level in levels:
-            indicator = (np.char.equal(vals.astype(str), level)).astype(np.float64)
-            col_name = f"{name}={level}"
+        levels, level_of = np.unique(labels, return_inverse=True)
+        for i, level in enumerate(levels.tolist()):
+            indicator = (level_of == i).astype(np.float64)
             if indicator.min() == indicator.max():
-                self.report.columns_dropped[col_name] = "constant"
+                self.report.columns_dropped[f"{name}={level}"] = "constant"
                 continue
-            idx = len(self.columns)
-            self.columns.append(indicator)
-            self.entries.append(
-                SchemaEntry(
-                    column_index=idx,
-                    original_variable=name,
-                    kind="one_hot_level",
-                    group_id=name,
-                    level_label=level,
-                )
-            )
+            self._add(indicator, name, "one_hot_level", level)
 
 
 def encode_and_normalise(
@@ -241,7 +235,7 @@ def encode_and_normalise(
         raise ValueError("empty training-row set")
     meta = raw.meta
     report = PreprocessReport()
-    b = _Builder(raw.n_samples, train_rows, report)
+    b = _Builder(train_rows, report)
 
     for name in meta.continuous_columns:
         b.add_continuous(name, raw.columns[name])
@@ -250,17 +244,11 @@ def encode_and_normalise(
         b.add_continuous(name, parsed)
     for name in meta.day_of_year_columns:
         days = np.asarray(raw.columns[name], dtype=np.float64)
-        missing = np.isnan(days)
-        known = days[train_rows][~np.isnan(days[train_rows])]
-        if known.size and missing.any():
-            days = np.where(missing, float(np.median(known)), days)
-            report.imputation_counts[name] = int(missing.sum())
-        if np.isnan(days).all():
-            report.columns_dropped[name] = "unimputable"
-            continue
-        s, c = encode_day_of_year(days)
-        b.add_continuous(f"{name}_sin", s)
-        b.add_continuous(f"{name}_cos", c)
+        days = b.impute(name, days, np.isnan(days), np.median)
+        if days is not None:
+            s, c = encode_day_of_year(days)
+            b.add_continuous(f"{name}_sin", s)
+            b.add_continuous(f"{name}_cos", c)
 
     for name in meta.temperature_lag_columns:
         b.add_continuous(name, raw.columns[name])
@@ -270,7 +258,11 @@ def encode_and_normalise(
         for i, (t_col, d_col) in enumerate(
             zip(meta.temperature_lag_columns, meta.dew_point_lag_columns), start=1
         ):
-            rh = relative_humidity(raw.columns[t_col], raw.columns[d_col])
+            # humidity where both lags are known; add_continuous imputes the rest
+            t, d = (np.asarray(raw.columns[c], dtype=np.float64) for c in (t_col, d_col))
+            known = ~(np.isnan(t) | np.isnan(d))
+            rh = np.full_like(t, np.nan)
+            rh[known] = relative_humidity(t[known], d[known])
             b.add_continuous(f"{meta.humidity_prefix}_{i:02d}", rh)
     for name in meta.precipitation_lag_columns:
         b.add_continuous(name, raw.columns[name])
@@ -588,21 +580,6 @@ def split_blocks(
         train_rows=np.flatnonzero(np.isin(block_of, train)),
         test_rows=np.flatnonzero(np.isin(block_of, test)),
         val_rows=np.flatnonzero(np.isin(block_of, val)),
-    )
-
-
-def block_split(
-    ds: TabularDataset,
-    test_fraction: float = 0.20,
-    val_fraction_of_train: float = 0.20,
-    seed: int = 0,
-) -> SplitAssignment:
-    """Block-aware split of a built dataset (see split_blocks)."""
-    return split_blocks(
-        ds.blocks, ds.Y_bin, ds.M,
-        test_fraction=test_fraction,
-        val_fraction_of_train=val_fraction_of_train,
-        seed=seed,
     )
 
 

@@ -51,7 +51,6 @@ DEFAULT_RESPONSES: tuple[tuple[str, float, float], ...] = (
     ("ergotamine", 0.731, 0.250),
 )
 
-WEATHER_FAMILIES = ("temp", "dew", "precip")
 LAG_AGGREGATES = ("humidity_lag_mean", "temp_lag_mean", "precip_lag_mean")
 
 CONTINUOUS_AGRONOMICS = (

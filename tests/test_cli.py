@@ -430,6 +430,21 @@ class TestExitCodes:
         assert "data error" in err and named in err
         assert not out.exists()
 
+    def test_blank_lag_cells_are_imputed(self, pipeline_dir, tmp_path):
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        with open(raw_dir / "raw.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index("temp_lag_05")] = ""
+        rows[6][rows[0].index("dew_lag_02")] = ""
+        with open(raw_dir / "raw.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "dataset"
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_OK
+        counts = json.loads((out / "preprocess_report.json").read_text())["imputation_counts"]
+        assert counts["temp_lag_05"] == 1
+        assert counts["humidity_lag_05"] == 1 and counts["humidity_lag_02"] == 1
+
     @pytest.mark.parametrize("name", ["dataset/features.csv", "raw/raw.csv"])
     def test_oversized_csv_field_is_data_error(self, pipeline_dir, tmp_path, capsys, name):
         for part in ("raw", "dataset"):

@@ -170,6 +170,13 @@ class TestEvaluatePredictions:
         assert report.per_response[2].r2 is None
         assert report.per_response[2].flags
 
+    def test_unobserved_response_flagged_once(self):
+        y = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        m = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        report = evaluate_predictions(y, (y > 0).astype(float), m, y, np.full((3, 2), 0.5),
+                                      ("a", "b"))
+        assert report.per_response[1].flags == ["no observed entries"]
+
     def test_json_roundtrip(self, tmp_path):
         rm = ResponseMetrics(name="a", n_observed=5, n_positive=2, rmse=0.5, r2=0.8,
                              f1=None, auc=None, flags=["single outcome class"])

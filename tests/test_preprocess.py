@@ -10,7 +10,6 @@ from masktab.data_model import RawMeta, RawTable, validate
 from masktab.preprocess import (
     _partition_blocks,
     _refine_partition,
-    block_split,
     encode_and_normalise,
     encode_day_of_year,
     preprocess_raw,
@@ -214,6 +213,93 @@ class TestEncodeAndNormalise:
         assert report.imputation_counts["crop"] == 1
         assert validate(ds) == []
 
+    @pytest.mark.parametrize("train_labels, mode", [
+        (["B", "A", "B", "A", "C"], "A"),  # a tie goes to the smallest label
+        (["B", "A", "B", "A", "B"], "B"),  # the highest count wins
+    ])
+    def test_categorical_mode_fills_every_blank(self, train_labels, mode):
+        raw = tiny_raw()
+        raw.columns["crop"] = np.array(
+            [*train_labels, None, "C", "B", None, "A", "C", "B"], dtype=object)
+        ds, report = encode_and_normalise(raw, np.arange(6))
+        assert report.imputation_counts["crop"] == 2
+        j = ds.schema.column_names().index(f"crop={mode}")
+        assert ds.X[5, j] == 1.0 and ds.X[8, j] == 1.0
+        assert ds.X[[5, 8]][:, ds.schema.groups()["crop"]].sum() == 2.0
+
+    def test_categorical_missing_cells(self):
+        raw = tiny_raw()
+        crop = raw.columns["crop"]
+        blank = [0, 4, 8, 9, 10]
+        crop[blank] = [None, float("nan"), "", "  \t", np.float64("nan")]
+        ds, report = encode_and_normalise(raw, np.arange(12))
+        assert report.imputation_counts["crop"] == 5
+        names = ds.schema.column_names()
+        assert names[-3:] == ["crop=A", "crop=B", "crop=C"]
+        np.testing.assert_array_equal(ds.X[blank, names.index("crop=C")], 1.0)  # the mode
+
+    def test_categorical_levels_sorted_as_text(self):
+        raw = tiny_raw()
+        raw.columns["crop"] = np.array(["b", "B", "a", "10", "9", 7] * 2, dtype=object)
+        ds, report = encode_and_normalise(raw, np.arange(6))
+        groups = ds.schema.groups()["crop"]
+        assert [ds.schema.entries[c].level_label for c in groups] == [
+            "10", "7", "9", "B", "a", "b"]
+        np.testing.assert_array_equal(ds.X[:, groups[1]], [0, 0, 0, 0, 0, 1] * 2)
+        assert "crop" not in report.imputation_counts
+
+    def test_categorical_level_constant_over_all_rows_dropped(self):
+        raw = tiny_raw()
+        raw.columns["crop"] = np.array(["A"] * 11 + [None], dtype=object)
+        ds, report = encode_and_normalise(raw, np.arange(6))
+        assert report.columns_dropped["crop=A"] == "constant"
+        assert report.imputation_counts["crop"] == 1
+        assert "crop" not in ds.schema.groups()
+
+    @pytest.mark.parametrize("blank, reason", [
+        (slice(None), "sparse>95%"),
+        (slice(0, 6), "unimputable"),  # blank on every training row
+    ])
+    @pytest.mark.parametrize("column, blank_value", [("rate", np.nan), ("crop", None)])
+    def test_blank_column_dropped_with_its_reason(self, column, blank_value, blank, reason):
+        raw = tiny_raw()
+        raw.columns[column][blank] = blank_value
+        ds, report = encode_and_normalise(raw, np.arange(6))
+        assert report.columns_dropped[column] == reason
+        assert column not in report.imputation_counts
+        assert column not in ds.schema.groups()
+
+    @pytest.mark.parametrize("blank, reason", [
+        (np.arange(6), "unimputable"),  # blank on every training row
+        (np.arange(1, 40), "sparse>95%"),  # 39 of 40 blank, one known training value
+    ])
+    def test_blank_day_of_year_dropped_with_its_reason(self, blank, reason):
+        raw = tiny_raw(n=40)
+        raw.meta = RawMeta(
+            site_column="site", year_column="year",
+            categorical_columns=("crop",), continuous_columns=("moisture", "rate"),
+            day_of_year_columns=("sowing_doy",),
+        )
+        raw.columns["sowing_doy"] = np.arange(100.0, 140.0)
+        raw.columns["sowing_doy"][blank] = np.nan
+        ds, report = encode_and_normalise(raw, np.arange(6))
+        assert report.columns_dropped["sowing_doy"] == reason
+        assert "sowing_doy" not in report.imputation_counts
+        assert not any(n.startswith("sowing_doy") for n in ds.schema.column_names())
+
+    def test_blank_lag_cells_impute_humidity(self):
+        cfg = SynthConfig(n_samples=30, n_sites=10, n_responses=3, weather_lag_days=5, seed=3)
+        raw = generate(cfg)
+        raw.columns["temp_lag_02"][4] = np.nan
+        raw.columns["dew_lag_02"][7] = np.nan
+        raw.columns["dew_lag_05"][7] = np.nan
+        ds, _, report = preprocess_raw(raw, seed=0)
+        counts = report.imputation_counts
+        assert counts["temp_lag_02"] == 1
+        assert counts["humidity_lag_02"] == 2 and counts["humidity_lag_05"] == 1
+        assert "humidity_lag_01" not in counts
+        assert validate(ds) == []
+
     def test_validate_clean_after_pipeline(self):
         cfg = SynthConfig(n_samples=50, n_sites=15, n_responses=4, weather_lag_days=8, seed=11)
         raw = generate(cfg)
@@ -336,10 +422,6 @@ class TestBlockSplit:
         got = split_blocks(blocks, np.where(m == 1.0, y, 7.5), m, seed=3)
         for rows in ("train_rows", "val_rows", "test_rows"):
             assert np.array_equal(getattr(got, rows), getattr(want, rows))
-
-    def test_block_split_wrapper(self, small_dataset):
-        split = block_split(small_dataset, seed=0)
-        assert split.violations(small_dataset.blocks) == []
 
     def test_stratification_keeps_positive_rates_close(self):
         cfg = SynthConfig(n_samples=200, n_sites=60, n_responses=6, weather_lag_days=5, seed=2)
