@@ -280,6 +280,13 @@ class RawMeta(jsonio.Document):
     precipitation_lag_columns: tuple[str, ...] = ()
     humidity_prefix: str = "humidity_lag"
 
+    @property
+    def numeric_columns(self) -> tuple[str, ...]:
+        """The columns read as float64, where a blank cell is NaN."""
+        return (*self.continuous_columns, *self.day_of_year_columns,
+                *self.temperature_lag_columns, *self.dew_point_lag_columns,
+                *self.precipitation_lag_columns)
+
 
 @dataclass
 class RawTable:
@@ -510,8 +517,7 @@ def load_raw_table(in_dir) -> RawTable:
     src = Path(in_dir)
     meta = RawMeta.load(src / RAW_META_FILE)
     header, cells = _read_csv(src / RAW_FILE)
-    numeric = {*meta.continuous_columns, *meta.day_of_year_columns, *meta.temperature_lag_columns,
-               *meta.dew_point_lag_columns, *meta.precipitation_lag_columns}
+    numeric = set(meta.numeric_columns)
     named = {meta.site_column, meta.year_column, *meta.categorical_columns,
              *meta.soil_ph_columns, *numeric}
     absent = sorted(named - set(header))

@@ -37,11 +37,15 @@ def encode_day_of_year(d):
     """Map day-of-year onto the unit circle: (sin(2*pi*d/365), cos(2*pi*d/365)).
 
     Keeps calendar adjacency across the year boundary. Accepts scalars or
-    arrays; d must lie in [1, 366].
+    arrays; d must lie in [1, 366], and the error names the first day that
+    does not (with its row in a 1-d array, its flat index in a larger one).
     """
     arr = np.asarray(d, dtype=np.float64)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 1) or np.any(arr > 366):
-        raise ValueError(f"day of year out of range [1, 366]: {d!r}")
+    bad = ~((arr >= 1) & (arr <= 366))  # NaN fails both comparisons
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        where = f"row {i}: " if arr.ndim == 1 else f"flat index {i}: " if arr.ndim else ""
+        raise ValueError(f"{where}day of year {float(arr.flat[i])!r} out of range [1, 366]")
     angle = 2.0 * np.pi * arr / DAYS_PER_YEAR
     s, c = np.sin(angle), np.cos(angle)
     if np.isscalar(d) or arr.ndim == 0:
@@ -222,6 +226,18 @@ class _Builder:
             self._add(indicator, name, "one_hot_level", level)
 
 
+def _reject_infinite(raw: RawTable) -> None:
+    """Raise ValueError naming the row and column of the first +-inf cell of
+    a numeric column or of the responses; a NaN cell is missing, and passes."""
+    names = [*raw.meta.numeric_columns, *raw.response_names]
+    cells = np.column_stack([*(np.asarray(raw.columns[n], dtype=np.float64)
+                               for n in raw.meta.numeric_columns), raw.responses])
+    bad = np.argwhere(np.isinf(cells))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"row {i}, column {names[j]!r}: {cells[i, j]} is not finite")
+
+
 def encode_and_normalise(
     raw: RawTable, train_rows
 ) -> tuple[TabularDataset, PreprocessReport]:
@@ -233,6 +249,7 @@ def encode_and_normalise(
     train_rows = np.asarray(train_rows, dtype=np.int64)
     if train_rows.size == 0:
         raise ValueError("empty training-row set")
+    _reject_infinite(raw)
     meta = raw.meta
     report = PreprocessReport()
     b = _Builder(train_rows, report)
@@ -246,7 +263,10 @@ def encode_and_normalise(
         days = np.asarray(raw.columns[name], dtype=np.float64)
         days = b.impute(name, days, np.isnan(days), np.median)
         if days is not None:
-            s, c = encode_day_of_year(days)
+            try:
+                s, c = encode_day_of_year(days)
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
             b.add_continuous(f"{name}_sin", s)
             b.add_continuous(f"{name}_cos", c)
 

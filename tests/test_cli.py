@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,45 @@ class TestExitCodes:
         counts = json.loads((out / "preprocess_report.json").read_text())["imputation_counts"]
         assert counts["temp_lag_05"] == 1
         assert counts["humidity_lag_05"] == 1 and counts["humidity_lag_02"] == 1
+
+    @staticmethod
+    def preprocess_damaged(pipeline_dir, tmp_path, capsys, file, column, row, value):
+        """Exit code and stderr of ``masktab preprocess`` on a copy of the raw
+        table with one cell of ``file`` (data row ``row``) set to ``value``;
+        any warning fails the test."""
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        with open(raw_dir / file, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[row + 1][rows[0].index(column)] = value
+        with open(raw_dir / file, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["preprocess", "--in", str(raw_dir), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("file, column, value", [
+        ("raw.csv", "latitude", "inf"),
+        ("raw.csv", "temp_lag_03", "Infinity"),
+        ("raw.csv", "dew_lag_02", "-inf"),
+        ("raw.csv", "sowing_doy", "inf"),
+        ("responses.csv", "deoxynivalenol", "inf"),
+    ])
+    def test_infinite_raw_cell_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                             file, column, value):
+        code, err = self.preprocess_damaged(pipeline_dir, tmp_path, capsys, file, column, 7,
+                                            value)
+        assert code == EXIT_DATA
+        assert err.endswith(f"row 7, column {column!r}: {float(value)} is not finite\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_day_names_column_and_row(self, pipeline_dir, tmp_path, capsys):
+        code, err = self.preprocess_damaged(pipeline_dir, tmp_path, capsys, "raw.csv",
+                                            "harvest_doy", 17, "400")
+        assert code == EXIT_DATA
+        assert err.endswith("harvest_doy row 17: day of year 400.0 out of range [1, 366]\n")
+        assert len(err) < 200 and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["dataset/features.csv", "raw/raw.csv"])
     def test_oversized_csv_field_is_data_error(self, pipeline_dir, tmp_path, capsys, name):

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import signal
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -477,6 +481,150 @@ class TestFlatAdamMatchesReference:
         assert np.array_equal(fused.flat, flatten(oracle))
         assert np.array_equal(state.m, flatten_moments(oracle, m))
         assert np.array_equal(state.v, flatten_moments(oracle, v))
+
+
+def vector_params(n, seed):
+    """A network whose flat vector holds exactly n >= 1 random parameters:
+    one layer with W of shape (1, n - 1) and a bias. Only adam_step reads it,
+    so the spec need not match the shapes."""
+    rng = np.random.default_rng(seed)
+    layer = DenseLayer(W=rng.standard_normal((1, n - 1)), b=rng.standard_normal(1),
+                       spec=LayerSpec(1, 1, activation="linear"))
+    return NetworkParams(backbone=[], heads={"out": [layer]})
+
+
+class RecordingWorker:
+    """A worker of the test's own: runs each submitted half on ``pool`` and
+    records its [lo, hi)."""
+
+    def __init__(self, pool):
+        self.pool, self.ranges = pool, []
+
+    def submit(self, fn, *args):
+        self.ranges.append(args[-2:])
+        return self.pool.submit(fn, *args)
+
+
+@pytest.fixture
+def worker_pool():
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
+
+
+class TestSplitAdam:
+    """adam_step's two halves, run as the worker runs them on any machine."""
+
+    def steps(self, n, worker_of, steps=3, params=None):
+        """Run adam_step with ``worker_of`` in place of nn_core._adam_worker."""
+        params = vector_params(n, seed=n) if params is None else params
+        state = AdamState.for_params(params)
+        grads = params.zeros_like()
+        rng = np.random.default_rng(n + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn_core, "_adam_worker", worker_of)
+            for _ in range(steps):
+                grads.flat[...] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)
+                adam_step(params, grads, state)
+        return params, state
+
+    @pytest.mark.parametrize("n", [1, 4097, 2**15, 2**16 - 1, 2**16, 2**16 + 1,
+                                   3 * 2**15 + 7, 343_984])
+    def test_bit_identical_to_serial_path(self, n, worker_pool):
+        serial, serial_state = self.steps(n, lambda: None)
+        worker = RecordingWorker(worker_pool)
+        split, split_state = self.steps(n, lambda: worker)
+        halves = n >= 2 * nn_core.ADAM_BLOCK
+        assert worker.ranges == ([(n // 2, n)] * 3 if halves else [])
+        assert split_state.step == serial_state.step == 3
+        for a, b in ((split.flat, serial.flat), (split_state.m, serial_state.m),
+                     (split_state.v, serial_state.v)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("attr", ["W", "b"])
+    def test_non_finite_in_worker_half_raises_before_any_write(self, attr, worker_pool):
+        def head(width):
+            return [DenseLayer(W=np.ones((1, width)), b=np.ones(1), spec=LayerSpec(width, 1))]
+
+        # "lower" fills [0, 40001) and "upper" [40001, 80002), the worker's half
+        params = NetworkParams(backbone=[], heads={"lower": head(40000), "upper": head(40000)})
+        worker = RecordingWorker(worker_pool)
+        params, state = self.steps(params.flat.size, lambda: worker, steps=1, params=params)
+        before = [a.copy() for a in (params.flat, state.m, state.v)]
+        grads = params.zeros_like()
+        getattr(grads.heads["upper"][0], attr).flat[-1] = np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn_core, "_adam_worker", lambda: worker)
+            with pytest.raises(FloatingPointError, match=rf"for upper\.0\.{attr}$"):
+                adam_step(params, grads, state)
+        assert worker.ranges == [(40001, 80002)]  # the first step only
+        assert state.step == 1
+        for a, b in zip((params.flat, state.m, state.v), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("cpus, blas_on_one_thread", [(1, True), (2, False)],
+                             ids=["one-cpu", "threaded-blas"])
+    def test_runs_serially_and_starts_no_thread(self, monkeypatch, cpus, blas_on_one_thread):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        serial, _ = self.steps(343_984, lambda: None)
+        nn_core._adam_worker.cache_clear()
+        try:
+            monkeypatch.setattr(nn_core, "_cpus", lambda: cpus)
+            monkeypatch.setattr(nn_core, "_blas_on_one_thread", lambda: blas_on_one_thread)
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+            params, _ = self.steps(343_984, nn_core._adam_worker)
+            assert nn_core._adam_worker() is None
+            assert np.array_equal(params.flat, serial.flat)
+        finally:
+            nn_core._adam_worker.cache_clear()
+
+    @pytest.mark.parametrize("env, one", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": " ", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "8"}, False),
+    ])
+    def test_blas_thread_count_read_in_openblas_order(self, monkeypatch, env, one):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert nn_core._blas_on_one_thread() is one
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_worker(self, monkeypatch):
+        nn_core._adam_worker.cache_clear()
+        monkeypatch.setattr(nn_core, "_cpus", lambda: 2)  # a worker on any machine
+        monkeypatch.setattr(nn_core, "_blas_on_one_thread", lambda: True)
+        try:
+            params = vector_params(343_984, seed=5)
+            state = AdamState.for_params(params)
+            grads = params.zeros_like()
+            grads.flat[...] = np.random.default_rng(6).standard_normal(params.flat.size)
+            adam_step(params, grads, state)
+            parent_worker = nn_core._adam_worker()
+            assert parent_worker is not None
+            twin, twin_state = params.copy(), dataclasses.replace(
+                state, m=state.m.copy(), v=state.v.copy())
+            adam_step(twin, grads, twin_state)
+            pid = os.fork()
+            if pid == 0:  # child: a hang dies by the alarm, any error by exit code 1
+                ok = False
+                try:
+                    signal.alarm(10)
+                    adam_step(params, grads, state)
+                    ok = (np.array_equal(params.flat, twin.flat)
+                          and nn_core._adam_worker() not in (None, parent_worker))
+                finally:
+                    os._exit(0 if ok else 1)
+            _, status = os.waitpid(pid, 0)
+            assert os.WIFEXITED(status), f"child ended by signal {os.WTERMSIG(status)}"
+            assert os.WEXITSTATUS(status) == 0
+        finally:
+            nn_core._adam_worker.cache_clear()
 
 
 class TestFlatStorage:
