@@ -7,7 +7,9 @@ seed by hashing "<seed>:<stage label>" with SHA-256 and taking the first
 8 bytes, so no two stages ever share a random stream.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
-The environment variable MASKTAB_SEED overrides any configured seed.
+The environment variable MASKTAB_SEED overrides any configured seed. Every
+command, and run_pipeline, holds numpy's BLAS to one thread while it runs
+(blas.one_thread), so its bytes do not depend on the thread count.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__, jsonio, nn_core, trainer, vimp
+from . import __version__, blas, jsonio, nn_core, trainer, vimp
 from .data_model import (
     DATASET_FILES,
     RAW_FILES,
@@ -466,6 +468,7 @@ def _run_stage(manifest: _Manifest, force: bool, name: str, config_fp: str,
         manifest.record(name, config_fp, outputs)
 
 
+@blas.one_thread()
 def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     """Run generate -> preprocess -> train -> evaluate -> importance -> report.
 
@@ -651,6 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@blas.one_thread()
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -8,12 +8,12 @@ and every layer's W and b are views into it, so the optimiser, snapshots and
 finite checks each work on one array. Everything is deterministic given an
 explicit random generator.
 
-Adam updates a network of at least ``2 * ADAM_BLOCK`` parameters in two
-halves at once, one on the caller's thread and one on a single worker thread,
-where the process may run on two or more CPUs and the environment holds the
-BLAS to one thread (``OPENBLAS_NUM_THREADS=1``). The update is elementwise,
-so the halves give the same bits as one serial pass. The worker is made on
-first use, once per process; a forked child makes its own.
+Adam updates a network of at least ``2 * ADAM_BLOCK`` parameters on two
+threads at once, the caller's and one worker thread, where the process may run
+on two or more CPUs and numpy's BLAS runs at one thread (``blas.threads()``,
+as every masktab command holds it). The update is elementwise, so the two
+threads give the same bits as one serial pass. The worker is made on first
+use, once per process; a forked child makes its own.
 """
 
 import base64
@@ -21,13 +21,14 @@ import functools
 import math
 import os
 import types
+from collections import deque
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonio
+from . import blas, jsonio
 from .jsonio import setting
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
@@ -37,7 +38,7 @@ CHECKPOINT_VERSION = 1
 # Elements per block of the fused Adam update. Its two scratch blocks (256 KiB
 # each) stay cache-resident, where full-length temporaries would stream
 # through memory several times per step. An update of at least two blocks
-# runs in two halves at once (see adam_step).
+# runs on two threads at once (see adam_step).
 ADAM_BLOCK = 1 << 15
 
 
@@ -380,44 +381,35 @@ def _cpus() -> int:
     return os.cpu_count() or 1  # macOS has no sched_getaffinity
 
 
-def _blas_on_one_thread() -> bool:
-    """Whether the environment holds the BLAS to one thread, read in the order
-    OpenBLAS (numpy's bundled BLAS) reads it: the first variable set wins."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        if os.environ.get(var, "").strip():
-            return os.environ[var].strip() == "1"
-    return False
-
-
-# The thread that runs the upper half of a split Adam update: one per process,
-# made on first use, and only where the process may run on two CPUs and the
-# BLAS on one thread: a threaded OpenBLAS keeps its idle threads spinning on
-# the other cores between calls, and there a worker made a training step
-# slower (343,472 parameters, 2-core Xeon: 7.3-7.6 ms serial, 7.8-8.0 split).
-# A forked child inherits the executor but not its thread, so it clears the
+# The thread that shares the blocks of a large Adam update with the caller: one
+# per process, made on first use where the process may run on two CPUs. A
+# forked child inherits the executor but not its thread, so it clears the
 # cache and makes its own. (Racing first calls from two threads may each make
 # one; either serves, and the spare's thread exits once dropped.)
 @functools.cache
 def _adam_worker() -> ThreadPoolExecutor | None:
-    """The process's Adam worker, or None where updates stay serial."""
-    if _cpus() < 2 or not _blas_on_one_thread():
-        return None
-    return ThreadPoolExecutor(1, thread_name_prefix="masktab-adam")
+    """The process's Adam worker, or None on one CPU."""
+    return ThreadPoolExecutor(1, thread_name_prefix="masktab-adam") if _cpus() >= 2 else None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_adam_worker.cache_clear)
 
 
-def _adam_range(p: np.ndarray, g: np.ndarray, state: AdamState,
-                c1: float, c2: float, lo: int, hi: int) -> None:
-    """The Adam update of elements [lo, hi) of the flat vectors, in blocks of
-    ``ADAM_BLOCK`` through scratch rows of its own; numpy only."""
+def _adam_blocks(p: np.ndarray, g: np.ndarray, state: AdamState,
+                 c1: float, c2: float, starts: deque) -> None:
+    """The Adam update of the ``ADAM_BLOCK`` blocks of the flat vectors whose
+    starts it takes from ``starts`` until none is left, through scratch rows
+    of its own; numpy only."""
     b1, b2 = state.beta1, state.beta2
     lr, eps = state.learning_rate, state.epsilon
-    scratch = np.empty((2, min(ADAM_BLOCK, hi - lo)))
-    for start in range(lo, hi, ADAM_BLOCK):
-        stop = min(start + ADAM_BLOCK, hi)
+    scratch = np.empty((2, min(ADAM_BLOCK, p.size)))
+    while True:
+        try:
+            start = starts.popleft()  # thread-safe: one taker per block
+        except IndexError:
+            return
+        stop = min(start + ADAM_BLOCK, p.size)
         gb, mb, vb, pb = g[start:stop], state.m[start:stop], state.v[start:stop], p[start:stop]
         s, u = scratch[0, : stop - start], scratch[1, : stop - start]
         # m = b1*m + (1-b1)*g
@@ -448,10 +440,11 @@ def adam_step(
 
     The update runs over the flat vectors in blocks of ``ADAM_BLOCK``, with
     the per-element operation order of the textbook update, so results do
-    not depend on the blocking. From ``2 * ADAM_BLOCK`` parameters on, the
-    upper half runs on the worker thread while the caller runs the lower
-    half, and the call returns only once both are done. A non-finite
-    gradient raises before anything changes.
+    not depend on the blocking. From ``2 * ADAM_BLOCK`` parameters on, where
+    numpy's BLAS runs at one thread, the worker thread and the caller take
+    blocks from one shared sequence until none is left, and the call returns
+    only once both are done; so a slow worker delays the call by at most the
+    block in hand. A non-finite gradient raises before anything changes.
     """
     if _layout(params) != _layout(grads):
         raise ValueError("gradient structure does not match parameters")
@@ -463,16 +456,20 @@ def adam_step(
     state.step += 1
     t = state.step
     c1, c2 = 1.0 - state.beta1**t, 1.0 - state.beta2**t
-    n = p.size
-    worker = _adam_worker() if n >= 2 * ADAM_BLOCK else None
+    starts = deque(range(0, p.size, ADAM_BLOCK))
+    # a threaded BLAS's idle threads spin on the other cores, where a worker
+    # made a training step slower than none (README, "Training engine")
+    worker = (_adam_worker() if p.size >= 2 * ADAM_BLOCK and blas.threads() == 1
+              else None)
     if worker is None:
-        _adam_range(p, g, state, c1, c2, 0, n)
+        _adam_blocks(p, g, state, c1, c2, starts)
         return params, state
-    upper = worker.submit(_adam_range, p, g, state, c1, c2, n // 2, n)
+    job = worker.submit(_adam_blocks, p, g, state, c1, c2, starts)
     try:
-        _adam_range(p, g, state, c1, c2, 0, n // 2)
+        _adam_blocks(p, g, state, c1, c2, starts)
     finally:
-        upper.result()
+        if not job.cancel():  # a job not yet started has no block to finish
+            job.result()
     return params, state
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import masktab
-from masktab import jsonio
+from masktab import blas, jsonio
 from masktab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -195,6 +195,29 @@ class TestStageBytes:
                      "--seed", str(seed)]) == EXIT_OK
         written = {p.name: sha256_file(p) for d in (raw_dir, ds_dir) for p in d.iterdir()}
         assert written == STAGE_SHA256[seed]
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(blas.threads() is None, reason="numpy's BLAS is not the bundled OpenBLAS")
+    def test_pipeline_files_match_at_one_and_two_blas_threads(self, tmp_path):
+        # default network sizes, where a second BLAS thread changes the sums
+        cfg = write_json(tmp_path / "pipeline.json", {
+            "seed": 3, "importance": {"mode": "grouped", "repeats": 1},
+            "train": {"max_epochs": 2, "patience": 2, "ae": {"max_epochs": 2, "patience": 2}}})
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "masktab.cli", "pipeline", "--config", cfg,
+                 "--out", str(out)],
+                check=True, capture_output=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": str(Path(masktab.__file__).parents[1])},
+            )
+            files.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(files[0]) > 20
+        assert files[0] == files[1]
 
 
 class TestExitCodes:
