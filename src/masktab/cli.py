@@ -37,7 +37,7 @@ from .data_model import (
     validate,
     write_csv,
 )
-from .jsonio import SettingError, setting
+from .jsonio import SettingError, derive_seed, setting
 from .metrics import METRIC_NAMES, EvalReport, evaluate_predictions, winner_ranking
 from .preprocess import PreprocessConfig, preprocess_raw
 from .synthgen import SynthConfig, generate
@@ -58,12 +58,6 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
-
-
-def derive_seed(global_seed: int, stage: str) -> int:
-    """Stage seed = first 8 bytes of sha256("<seed>:<stage>"), mod 2^63."""
-    digest = hashlib.sha256(f"{global_seed}:{stage}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def resolve_seed(configured: int) -> int:

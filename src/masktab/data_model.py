@@ -163,9 +163,10 @@ def validate(ds: TabularDataset) -> list[str]:
         v.append(f"schema covers {ds.schema.n_columns} columns, X has {p}")
     v.extend(ds.schema.validate())
 
+    names = ds.schema.column_names()
     if not np.isfinite(ds.X).all():
-        bad = np.argwhere(~np.isfinite(ds.X))[0]
-        v.append(f"non-finite predictor at ({bad[0]},{bad[1]})")
+        i, j = np.argwhere(~np.isfinite(ds.X))[0]
+        v.append(f"non-finite predictor at ({i},{j}), column {names[j] if j < len(names) else j!r}")
     if not np.isin(ds.M, (0.0, 1.0)).all():
         bad = np.argwhere(~np.isin(ds.M, (0.0, 1.0)))[0]
         v.append(f"mask entry not in {{0,1}} at ({bad[0]},{bad[1]})")
@@ -185,7 +186,6 @@ def validate(ds: TabularDataset) -> list[str]:
     for i, k in np.argwhere(~observed & ~(np.isnan(ds.Y_cont) & np.isnan(ds.Y_bin))):
         v.append(f"masked entry not sentinel at ({i},{k})")
 
-    names = ds.schema.column_names()
     for j in range(p):
         col = ds.X[:, j]
         if n > 0 and (col == col[0]).all():

@@ -1,5 +1,5 @@
 """Deterministic JSON serialisation and the one codec for config and artifact
-documents.
+documents, and the one rule that derives a seed from a seed and a label.
 
 Every numeric artifact is written with 17 significant digits so that a float64
 round-trips exactly and repeated runs produce byte-identical files. Keys are
@@ -10,6 +10,7 @@ declares its allowed values once, on its field (``setting``).
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import numbers
@@ -109,6 +110,12 @@ def load(path):
 
 def loads(text: str):
     return json.loads(text)
+
+
+def derive_seed(global_seed: int, label: str) -> int:
+    """One stream's seed: the first 8 bytes of sha256("<seed>:<label>"), mod 2^63."""
+    digest = hashlib.sha256(f"{global_seed}:{label}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ def regression_metrics(y, y_hat, m) -> tuple[float | None, float | None, list[st
 def auc_rank(labels: np.ndarray, scores: np.ndarray) -> float:
     """AUC via the rank statistic; ties contribute 1/2.
 
-    Equivalent to counting concordant positive-negative score pairs.
+    Equivalent to counting concordant positive-negative score pairs. A score
+    ranks at the mean 1-based rank of its tie run; a non-finite one raises.
     """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -90,17 +91,11 @@ def auc_rank(labels: np.ndarray, scores: np.ndarray) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average 1-based rank for the tie run [i, j]
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    if not np.isfinite(scores).all():
+        raise ValueError(f"AUC needs finite scores, got {scores[~np.isfinite(scores)][0]}")
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, "left")
+             + np.searchsorted(ordered, scores, "right") + 1) / 2.0
     rank_sum = float(ranks[labels == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

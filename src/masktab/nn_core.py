@@ -157,14 +157,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def activate(z: np.ndarray, kind: str, overwrite: bool = False) -> np.ndarray:
+def activate(z: np.ndarray, kind: str) -> np.ndarray:
     """A layer's activation function applied to its pre-activation z.
 
-    With ``overwrite`` the caller gives up z: ReLU then runs in place, and
-    the result may be z itself.
+    The caller gives up z: ReLU runs in place, and the result may be z itself.
     """
     if kind == "relu":
-        return np.maximum(z, 0.0, out=z if overwrite else None)
+        return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
         return _sigmoid(z)
     return z
@@ -173,7 +172,6 @@ def activate(z: np.ndarray, kind: str, overwrite: bool = False) -> np.ndarray:
 @dataclass
 class _LayerCache:
     x: np.ndarray  # layer input
-    z: np.ndarray  # pre-activation
     a: np.ndarray  # post-activation (pre-dropout)
     drop: np.ndarray | None  # inverted dropout mask, train mode only
 
@@ -193,7 +191,7 @@ def _run_stack(
     caches: list[_LayerCache] | None,
 ) -> np.ndarray:
     """Run one stack. Each layer's z is a fresh array, so x is never written;
-    without ``caches`` (infer mode) z is scratch and ReLU overwrites it."""
+    z is scratch, and ReLU overwrites it."""
     for layer in layers:
         if x.shape[1] != layer.spec.in_dim:
             raise ValueError(
@@ -201,7 +199,7 @@ def _run_stack(
             )
         z = x @ layer.W.T
         z += layer.b
-        a = activate(z, layer.spec.activation, overwrite=caches is None)
+        a = activate(z, layer.spec.activation)
         drop = None
         out = a
         if mode == "train" and layer.spec.dropout_rate > 0.0:
@@ -211,7 +209,7 @@ def _run_stack(
             drop = (rng.random(a.shape) < keep).astype(np.float64) / keep
             out = a * drop
         if caches is not None:
-            caches.append(_LayerCache(x=x, z=z, a=a, drop=drop))
+            caches.append(_LayerCache(x=x, a=a, drop=drop))
         x = out
     return x
 
@@ -281,7 +279,7 @@ def _backprop_stack(
             )
         masks = [] if c.drop is None else [c.drop]
         if layer.spec.activation == "relu":
-            masks.append(c.z > 0)
+            masks.append(c.a > 0)  # exactly where z > 0, NaN and -0.0 included
         elif layer.spec.activation == "sigmoid":
             masks.append(c.a * (1.0 - c.a))
         for mask in masks:

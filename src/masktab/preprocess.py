@@ -19,6 +19,7 @@ from .data_model import (
     SchemaEntry,
     SplitAssignment,
     TabularDataset,
+    validate,
 )
 from .jsonio import setting
 
@@ -104,20 +105,24 @@ def transform_responses(raw, loq=None):
 
 
 def soil_ph_midpoint(value):
-    """Parse a pH reading; range strings like '6.5-7.1' collapse to midpoints."""
+    """Parse a pH reading; range strings like '6.5-7.1' collapse to midpoints.
+
+    None, a blank and NaN read as missing (NaN). Anything else must be a
+    finite number or a range of two, else ValueError.
+    """
     if value is None:
         return math.nan
     if isinstance(value, (int, float, np.floating)):
-        return float(value)
-    text = str(value).strip()
-    if not text:
+        ends = [float(value)]
+    else:
+        text = str(value).strip()
+        lo, sep, hi = text[1:].replace("–", "-").partition("-")  # skip a leading minus sign
+        ends = [float(text[0] + lo), float(hi)] if sep else [float(text or "nan")]
+    if len(ends) == 1 and math.isnan(ends[0]):
         return math.nan
-    for sep in ("-", "–"):
-        if sep in text[1:]:  # skip a leading minus sign
-            lo_s, hi_s = text[1:].split(sep, 1)
-            lo = float(text[0] + lo_s)
-            return (lo + float(hi_s)) / 2.0
-    return float(text)
+    if not all(map(math.isfinite, ends)):
+        raise ValueError(f"{value!r} is not a finite pH reading")
+    return ends[0] if len(ends) == 1 else (ends[0] + ends[1]) / 2.0
 
 
 @dataclass
@@ -257,7 +262,12 @@ def encode_and_normalise(
     for name in meta.continuous_columns:
         b.add_continuous(name, raw.columns[name])
     for name in meta.soil_ph_columns:
-        parsed = np.array([soil_ph_midpoint(v) for v in raw.columns[name]], dtype=np.float64)
+        parsed = np.empty(len(raw.columns[name]))
+        for i, cell in enumerate(raw.columns[name]):
+            try:
+                parsed[i] = soil_ph_midpoint(cell)
+            except ValueError as exc:
+                raise ValueError(f"row {i}, column {name!r}: {exc}") from None
         b.add_continuous(name, parsed)
     for name in meta.day_of_year_columns:
         days = np.asarray(raw.columns[name], dtype=np.float64)
@@ -384,6 +394,26 @@ def _screen_swaps(fits, si, ri, sp, so, pos, obs, tot_p, tot_o, best_obj):
     return np.nonzero(fits)
 
 
+def _first_best(t, u, sp, so, pos, obs, tot_p, tot_o, best_obj):
+    """The first candidate (t[j] sel -> rest, u[j] rest -> sel) of least
+    objective, if that is below best_obj, as (t[j], u[j]); else None.
+
+    Scored in consecutive chunks of at most _SCAN_BYTES per stacked array. A
+    chunk's best replaces the running best only when strictly smaller, so a
+    tie goes to the first candidate and each objective is the float one stack
+    of every candidate gives.
+    """
+    best = None
+    chunk = max(1, _SCAN_BYTES // (8 * pos.shape[1]))
+    for lo in range(0, t.size, chunk):
+        tc, uc = t[lo:lo + chunk], u[lo:lo + chunk]
+        objs = _gap_objective(sp - pos[tc] + pos[uc], so - obs[tc] + obs[uc], tot_p, tot_o)
+        j = int(np.argmin(objs))
+        if objs[j] < best_obj:
+            best_obj, best = objs[j], (int(tc[j]), int(uc[j]))
+    return best
+
+
 def _refine_partition(
     sel: np.ndarray, rest: np.ndarray, sizes: np.ndarray, pos: np.ndarray, obs: np.ndarray,
     cap_sel: float, max_steps: int = 30,
@@ -398,79 +428,53 @@ def _refine_partition(
 
     Every block's tallies count 0/1 cells, so each side total is an exact
     integer in float64 whatever the order of addition: the selected side is
-    kept as running sums and the rest side is total - sel. Swap pairs are
-    screened (_screen_swaps), then scored in chunks of at most _SCAN_BYTES
-    per stacked array; each pair's objective is the same float as in one
-    stack of every pair.
+    kept as running sums and the rest side is total - sel. A move is a swap
+    with a null block of no rows, appended last and on neither side, so moves
+    and swaps are scored by one scan (_first_best). Swap pairs are screened
+    first (_screen_swaps).
     """
     if not sel.size or not rest.size:
         return sel, rest
     ix = np.concatenate([np.sort(sel), np.sort(rest)])
-    sizes, pos, obs = sizes[ix], pos[ix], obs[ix]
-    in_sel = np.arange(ix.size) < sel.size
+    null = ix.size  # row of the null block, which is zeroed
+    sizes, pos, obs = (a[np.append(ix, 0)] for a in (sizes, pos, obs))
+    sizes[null], pos[null], obs[null] = 0, 0.0, 0.0
+    in_sel = np.arange(null + 1) < sel.size
     window = sizes.max() / 2.0
     tot_p, tot_o = pos.sum(axis=0), obs.sum(axis=0)
     sp, so = pos[in_sel].sum(axis=0), obs[in_sel].sum(axis=0)
     rows_sel = sizes[in_sel].sum()
-    chunk = max(1, _SCAN_BYTES // (8 * pos.shape[1]))
 
     for _ in range(max_steps):
         base = _gap_objective(sp, so, tot_p, tot_o)
         if base <= _GAP_GOOD_ENOUGH:
             break
-        si = np.flatnonzero(in_sel)
-        ri = np.flatnonzero(~in_sel)
-
-        # first-best over moves out, moves in, then swaps (fixed tie order);
-        # only meaningful improvements are worth another vectorised sweep
-        best_obj = base - 1e-4
-        flips = None
-        if si.size > 1:  # moves sel -> rest, keeping sel non-empty
-            t = si[np.abs(rows_sel - sizes[si] - cap_sel) <= window]
-            if t.size:
-                objs = _gap_objective(sp - pos[t], so - obs[t], tot_p, tot_o)
-                j = int(np.argmin(objs))
-                if objs[j] < best_obj:
-                    best_obj = objs[j]
-                    flips = [(int(t[j]), False)]
-        if ri.size > 1:  # moves rest -> sel, keeping rest non-empty
-            u = ri[np.abs(rows_sel + sizes[ri] - cap_sel) <= window]
-            if u.size:
-                objs = _gap_objective(sp + pos[u], so + obs[u], tot_p, tot_o)
-                j = int(np.argmin(objs))
-                if objs[j] < best_obj:
-                    best_obj = objs[j]
-                    flips = [(int(u[j]), True)]
-        if flips is None and si.size and ri.size:
-            # pairwise swap scan is the expensive one; only when moves stall.
-            # Only pairs that keep the window and pass the screen are scored,
-            # in row-major order and in consecutive chunks. best_obj only
-            # falls during the scan, so no screened-out pair could have won.
-            # A chunk's best replaces the running best only when strictly
-            # smaller, so ties go to the first pair.
+        si, ri = np.flatnonzero(in_sel), np.flatnonzero(~in_sel[:null])
+        # only meaningful improvements are worth another step
+        scan = (sp, so, pos, obs, tot_p, tot_o, base - 1e-4)
+        # moves out, then moves in, so a tie goes to the move out; a move may
+        # not empty its side
+        out, into = (s if s.size > 1 else s[:0] for s in (si, ri))
+        t = np.concatenate([out, np.full(into.size, null)])
+        u = np.concatenate([np.full(out.size, null), into])
+        fits = np.abs(rows_sel - sizes[t] + sizes[u] - cap_sel) <= window
+        best = _first_best(t[fits], u[fits], *scan)
+        if best is None and si.size and ri.size:
+            # the pairwise swap scan is the expensive one; only when moves
+            # stall. Only pairs that keep the window and pass the screen are
+            # scored, in row-major order. best_obj only falls during the
+            # scan, so no screened-out pair could have won
             delta = rows_sel - sizes[si][:, None] + sizes[ri][None, :]
-            a, b = _screen_swaps(np.abs(delta - cap_sel) <= window, si, ri,
-                                 sp, so, pos, obs, tot_p, tot_o, best_obj)
-            sel_ix, rest_ix = si[a], ri[b]
-            for lo in range(0, a.size, chunk):
-                t, u = sel_ix[lo:lo + chunk], rest_ix[lo:lo + chunk]
-                objs = _gap_objective(
-                    sp - pos[t] + pos[u], so - obs[t] + obs[u], tot_p, tot_o
-                )
-                j = int(np.argmin(objs))
-                if objs[j] < best_obj:
-                    best_obj = objs[j]
-                    flips = [(int(t[j]), False), (int(u[j]), True)]
-        if flips is None:
+            a, b = _screen_swaps(np.abs(delta - cap_sel) <= window, si, ri, *scan)
+            best = _first_best(si[a], ri[b], *scan)
+        if best is None:
             break
-        for idx, flag in flips:
-            in_sel[idx] = flag
-            sign = 1.0 if flag else -1.0
-            sp = sp + sign * pos[idx]
-            so = so + sign * obs[idx]
-            rows_sel += sign * sizes[idx]
+        t, u = best
+        sp, so = sp - pos[t] + pos[u], so - obs[t] + obs[u]
+        rows_sel += sizes[u] - sizes[t]
+        in_sel[t], in_sel[u], in_sel[null] = False, True, False
 
-    return ix[in_sel], ix[~in_sel]
+    return ix[in_sel[:null]], ix[~in_sel[:null]]
 
 
 def _partition_blocks(
@@ -612,7 +616,8 @@ def preprocess_raw(
     """Full preprocessing entry point: split first, then encode leakage-free.
 
     The split is decided from block labels and response observations alone, so
-    the encoder can learn its statistics from training rows only.
+    the encoder can learn its statistics from training rows only. A dataset
+    that breaks an invariant of ``validate`` raises its first violation.
     """
     _, y_bin, mask = transform_responses(raw.responses, raw.loq)
     split = split_blocks(
@@ -622,4 +627,7 @@ def preprocess_raw(
         seed=seed,
     )
     ds, report = encode_and_normalise(raw, split.train_rows)
+    bad = validate(ds)
+    if bad:
+        raise ValueError(f"preprocessed dataset is invalid: {bad[0]}")
     return ds, split, report

@@ -18,7 +18,6 @@ The repeats' losses are scored together as one stack. The baseline loss
 takes the same path from the unpermuted pre-activation.
 """
 
-import hashlib
 import re
 from dataclasses import dataclass
 
@@ -117,11 +116,6 @@ class ImportanceReport(jsonio.Document):
         return [e for e in self.entries if e.task == task]
 
 
-def _child_seed(seed: int, task: str, group: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{task}:{group}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
-
-
 @dataclass(frozen=True)
 class _TaskRows:
     """What every group's repeats share within one task: the task's chain,
@@ -154,7 +148,7 @@ def _task_rows(params: NetworkParams, ds: TabularDataset, rows, task: str,
         Z0 = X @ first.W.T + first.b
     if baseline_loss is None:  # the repeats' path, on the unpermuted rows
         with np.errstate(over="ignore", invalid="ignore"):
-            out, _ = forward(rest, activate(Z0.copy(), first.spec.activation, overwrite=True))
+            out, _ = forward(rest, activate(Z0.copy(), first.spec.activation))
         baseline_loss = _task_losses(out[head], ds, rows, task)
     width = params.heads[head][-1].spec.out_dim
     return _TaskRows(task, ds, rows, X, first, rest, Z0, width, float(baseline_loss))
@@ -168,7 +162,7 @@ def _group_entry(t: _TaskRows, group: str, columns: list[int], n_repeats: int,
         raise ValueError("n_repeats must be >= 1")
     if not columns:
         raise ValueError(f"unknown or empty group {group!r}")
-    entry_seed = _child_seed(seed, t.task, group)
+    entry_seed = jsonio.derive_seed(seed, f"{t.task}:{group}")
     rng = np.random.default_rng(np.random.PCG64(entry_seed))
     (head,) = t.rest.heads
     n = t.rows.size
@@ -182,7 +176,7 @@ def _group_entry(t: _TaskRows, group: str, columns: list[int], n_repeats: int,
             # np.dot, not @: matmul takes a slow path when the group has one column
             Z = np.dot(Xc[perm] - Xc, W1c)
             Z += t.Z0
-            out, _ = forward(t.rest, activate(Z, kind, overwrite=True), mode="infer")
+            out, _ = forward(t.rest, activate(Z, kind), mode="infer")
             outs[r] = out[head]
     losses = _task_losses(outs, t.ds, t.rows, t.task)
     if losses.min() == losses.max():  # keep exact equality when repeats agree

@@ -33,16 +33,17 @@ def set_flat(params, vec):
 def relu_margin(params, x, rng_factory=None) -> float:
     """Smallest |pre-activation| over all relu layers for this input.
 
-    Reads the cache of a train-mode pass, the only mode that keeps one. Dropout
-    masks come from ``rng_factory``; without it the network must be
-    dropout-free, where train mode computes what infer mode does.
+    Recomputes each layer's pre-activation from its input in the cache of a
+    train-mode pass, the only mode that keeps one. Dropout masks come from
+    ``rng_factory``; without it the network must be dropout-free, where train
+    mode computes what infer mode does.
     """
     rng = rng_factory() if rng_factory is not None else None
     _, cache = forward(params, x, mode="train", rng=rng)
     stacks = [(params.backbone, cache.backbone)]
     stacks += [(params.heads[h], cache.heads[h]) for h in params.heads]
     margins = [
-        float(np.min(np.abs(c.z)))
+        float(np.min(np.abs(c.x @ layer.W.T + layer.b)))
         for layers, caches in stacks
         for layer, c in zip(layers, caches)
         if layer.spec.activation == "relu"

@@ -454,6 +454,53 @@ class TestExitCodes:
         assert "data error" in err and named in err
         assert not out.exists()
 
+    @staticmethod
+    def edit_raw_cells(raw_dir, column, rows, value):
+        """Set column's cell on each data row (0-based) of raw.csv to value."""
+        with open(raw_dir / "raw.csv", newline="") as fh:
+            lines = list(csv.reader(fh))
+        for row in rows:
+            lines[row + 1][lines[0].index(column)] = value
+        with open(raw_dir / "raw.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(lines)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "6.5-inf", "nan-7", "abc"])
+    def test_bad_soil_ph_cell_is_data_error_naming_it(self, pipeline_dir, tmp_path, capsys,
+                                                      cell):
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        self.edit_raw_cells(raw_dir, "soil_ph", [4], cell)
+        out = tmp_path / "dataset"
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error: row 4, column 'soil_ph': " in err and repr(cell) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["", "nan", " NaN "])
+    def test_blank_and_nan_soil_ph_cells_are_missing(self, pipeline_dir, tmp_path, cell):
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        self.edit_raw_cells(raw_dir, "soil_ph", [4], cell)
+        out = tmp_path / "dataset"
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_OK
+        counts = json.loads((out / "preprocess_report.json").read_text())["imputation_counts"]
+        assert counts["soil_ph"] == 1
+
+    def test_dataset_breaking_an_invariant_is_not_written(self, pipeline_dir, tmp_path, capsys):
+        # two huge latitudes overflow the column's training mean, and the
+        # encoded column would break a dataset invariant
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        self.edit_raw_cells(raw_dir, "latitude", [0, 1], "1e308")
+        out = tmp_path / "dataset"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error: preprocessed dataset is invalid: " in err
+        assert "column 'latitude'" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_blank_lag_cells_are_imputed(self, pipeline_dir, tmp_path):
         raw_dir = tmp_path / "raw"
         shutil.copytree(pipeline_dir / "raw", raw_dir)

@@ -104,6 +104,12 @@ class TestAuc:
         with pytest.raises(ValueError, match="both classes"):
             auc_rank(np.ones(3), np.array([0.1, 0.2, 0.3]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # NaN scores have no tie run in the sorted scores, so no rank
+        with pytest.raises(ValueError, match=f"AUC needs finite scores, got {bad}"):
+            auc_rank(np.array([0, 1, 0, 1]), np.array([0.1, 0.4, bad, 0.2]))
+
 
 class TestClassificationMetrics:
     def test_hand_values(self):

@@ -305,8 +305,9 @@ def reference_backward(params, cache, upstream):
             if c.drop is not None:
                 delta = delta * c.drop
             kind = layer.spec.activation
-            delta = delta * ((c.z > 0).astype(np.float64) if kind == "relu"
-                             else c.a * (1.0 - c.a) if kind == "sigmoid" else np.ones_like(c.z))
+            z = c.x @ layer.W.T + layer.b  # recomputed: the cache keeps no z
+            delta = delta * ((z > 0).astype(np.float64) if kind == "relu"
+                             else c.a * (1.0 - c.a) if kind == "sigmoid" else np.ones_like(z))
             g.W[...] = delta.T @ c.x
             g.b[...] = delta.sum(axis=0)
             delta = delta @ layer.W
@@ -362,6 +363,39 @@ class TestGradientBuffer:
         params, cache, upstream = self.instance()
         with pytest.raises(ValueError, match="gradient buffer structure"):
             backward(params, cache, upstream, out=small_network().zeros_like())
+
+
+class TestReluMask:
+    """backward reads ReLU's mask from the cached output, a > 0, which holds
+    exactly where the pre-activation z > 0."""
+
+    def test_exact_zero_pre_activations_match_oracle(self):
+        params = small_network(seed=3)
+        first = params.backbone[0]
+        first.W[1], first.b[1] = 0.0, 0.0  # unit 1's z is +0.0 on every row
+        x = np.random.default_rng(4).standard_normal((6, 5))
+        out, cache = forward(params, x, mode="train")
+        assert (x @ first.W.T + first.b)[:, 1].tolist() == [0.0] * 6
+        rng = np.random.default_rng(5)
+        upstream = {h: rng.standard_normal(o.shape) for h, o in out.items()}
+        got = backward(params, cache, upstream)
+        assert np.array_equal(bits(got.flat), bits(reference_backward(params, cache, upstream).flat))
+        assert not got.backbone[0].W[1].any()
+
+    def test_signed_zero_and_nan_pre_activations(self):
+        # forward's matmul never yields -0.0 or, with finite outputs, NaN
+        # here, so the cache is built by hand from a chosen z
+        z = np.array([[-0.0, 0.0, np.nan, 1.5], [0.0, -0.0, -2.0, np.nan]])
+        layer = DenseLayer(W=np.ones((4, 3)), b=np.zeros(4), spec=LayerSpec(3, 4))
+        params = NetworkParams(backbone=[], heads={"h": [layer]})
+        x = np.arange(6.0).reshape(2, 3) - 2.0
+        a = nn_core.activate(z.copy(), "relu")
+        cache = nn_core.ForwardCache("train", heads={"h": [nn_core._LayerCache(x, a, None)]})
+        up = np.arange(1.0, 9.0).reshape(2, 4)
+        got = backward(params, cache, {"h": up}).heads["h"][0]
+        delta = up * (z > 0)
+        assert np.array_equal(bits(got.W), bits(delta.T @ x))
+        assert np.array_equal(bits(got.b), bits(delta.sum(axis=0)))
 
 class TestAdam:
     def scalar_params(self, value=1.0):

@@ -635,6 +635,25 @@ class TestSplitIdentity:
             assert got == want, n
         assert want == (["s2", "r1"], ["s1", "r2", "r3", "r4"])  # the first tied swap
 
+    @pytest.mark.parametrize("pairs", [1, 170])
+    def test_tied_moves_apply_the_move_out(self, pairs, monkeypatch):
+        """Moving block 0 out of sel and moving block 3 into it leave mirror
+        sides (blocks 1, 4 and 2, 5 hold equal tallies), so the two moves
+        give the same best objective; the move out is applied, as when moves
+        out were scanned before moves in, whether or not one chunk holds
+        both. Blocks 2 and 5 are too large to move within the window."""
+        monkeypatch.setattr(preprocess, "_SCAN_BYTES", 8 * 2 * pairs)
+        pos = np.array([[3, 1], [0, 0], [3, 3], [1, 4], [0, 0], [3, 3]], dtype=np.float64)
+        obs = np.array([[5, 3], [1, 0], [5, 4], [3, 5], [1, 0], [5, 4]], dtype=np.float64)
+        sizes = np.array([1, 1, 10, 1, 1, 10])
+        sp, so, tot_p, tot_o = pos[:3].sum(axis=0), obs[:3].sum(axis=0), pos.sum(0), obs.sum(0)
+        out = preprocess._gap_objective(sp - pos[[0, 1]], so - obs[[0, 1]], tot_p, tot_o)
+        into = preprocess._gap_objective(sp + pos[[3, 4]], so + obs[[3, 4]], tot_p, tot_o)
+        assert out[0] == into[0] < min(out[1], into[1])  # the tie is the best move
+        sel, rest = _refine_partition(np.array([0, 1, 2]), np.array([3, 4, 5]), sizes,
+                                      pos, obs, 12.0, max_steps=1)
+        assert (sel.tolist(), rest.tolist()) == ([1, 2], [0, 3, 4, 5])
+
     def test_swap_scan_stays_within_byte_budget(self, survey0_split_inputs, monkeypatch):
         """No candidate stack scored on the default survey exceeds the scan's
         byte budget, and the swap scan does fill chunks near it."""

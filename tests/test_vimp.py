@@ -3,6 +3,7 @@ import pytest
 
 import masktab.vimp
 from conftest import make_dataset
+from masktab.jsonio import derive_seed
 from masktab.masked_loss import MaskedBatch, masked_bce, masked_mse
 from masktab.nn_core import DenseLayer, LayerSpec, NetworkParams, forward, init_network
 from masktab.preprocess import preprocess_raw
@@ -10,7 +11,6 @@ from masktab.synthgen import SynthConfig, generate
 from masktab.trainer import TrainConfig, predict, train_baseline
 from masktab.vimp import (
     ImportanceEntry,
-    _child_seed,
     grouped_variable_groups,
     importance_report,
     per_column_groups,
@@ -236,7 +236,7 @@ def oracle_permutation_importance(params, ds, rows, group, columns, task, n_repe
     rows = np.asarray(rows, dtype=np.int64)
     X = ds.X[rows]
     baseline_loss = oracle_task_loss(params, X, ds, rows, task)
-    entry_seed = _child_seed(seed, task, group)
+    entry_seed = derive_seed(seed, f"{task}:{group}")
     rng = np.random.default_rng(np.random.PCG64(entry_seed))
     losses = np.empty(n_repeats)
     X_perm = X.copy()
