@@ -29,7 +29,8 @@ from .data_model import (
     RAW_FILES,
     RawTable,
     SplitAssignment,
-    csv_line,
+    csv_rows,
+    first_violation,
     load_dataset,
     load_raw_table,
     save_dataset,
@@ -140,7 +141,7 @@ class PipelineConfig(jsonio.Document):
 # ---------------------------------------------------------------------------
 
 def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
-    raw = _settings(None, generate, cfg)  # e.g. a planted variable it does not generate
+    raw = _settings(None, generate, cfg)  # e.g. a missingness target the blocks cannot reach
     save_raw_table(raw, out)
     return raw
 
@@ -178,10 +179,10 @@ def _load_dataset_and_split(dataset_dir, split_path):
         raise DataError(f"unreadable dataset {ds_dir} or split {split_file}: {exc}") from exc
     bad = validate(ds)
     if bad:
-        raise DataError(f"invalid dataset {ds_dir}: {'; '.join(bad)}")
+        raise DataError(f"invalid dataset {ds_dir}: {first_violation(bad)}")
     bad = split.violations(ds.blocks)
     if bad:
-        raise DataError(f"invalid split for dataset: {'; '.join(bad)}")
+        raise DataError(f"invalid split for dataset: {first_violation(bad)}")
     return ds, split
 
 
@@ -365,11 +366,10 @@ def write_report(artifact_dir) -> tuple[dict, str]:
     files = _written_report_files(Path(artifact_dir))
     jsonio.dump(aggregate, files["json"])
     win_pct = aggregate["ranking"]["win_percentages"]
-    write_csv(files["csv"], ["model", *METRIC_NAMES, "win_pct"], (
-        csv_line([row["model"]]
-                 + [jsonio.format_float(row[m]) if row[m] is not None else "" for m in METRIC_NAMES]
-                 + [jsonio.format_float(win_pct[row["model"]])])
-        for row in aggregate["models"]))
+    models = aggregate["models"]
+    write_csv(files["csv"], ["model", *METRIC_NAMES, "win_pct"], csv_rows(
+        [[r[k] for r in models] for k in ("model", *METRIC_NAMES)]
+        + [[win_pct[r["model"]] for r in models]]))
     with jsonio.atomic_write(files["txt"]) as fh:
         fh.write(text)
     return aggregate, text
@@ -479,10 +479,6 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
         "importance": derive_seed(global_seed, "importance"),
     }
     synth_cfg = dataclasses.replace(cfg.synth, seed=stage_seeds["generate"])
-    try:  # no declaration checks planted effects: their rules need the generated schema
-        synth_cfg.resolved_planted()
-    except SettingError as exc:
-        raise ConfigError(f"pipeline config: synth.{exc}") from exc
     train_cfgs = {m: dataclasses.replace(cfg.train, seed=stage_seeds[f"train:{m}"])
                   for m in cfg.models}
     # the pretrained kinds fine-tune one encoder, pre-trained with the train

@@ -193,6 +193,12 @@ def validate(ds: TabularDataset) -> list[str]:
     return v
 
 
+def first_violation(violations: list[str]) -> str:
+    """The first of ``violations``, and the number of the rest, on one line."""
+    rest = len(violations) - 1
+    return violations[0] + (f" (and {rest} more)" if rest else "")
+
+
 def _row_indices(name: str, rows) -> np.ndarray:
     """rows as an int64 array, refusing any row that is not an integer: a
     cast would read 12.5 as row 12, "12" as 12 and true as 1."""
@@ -355,43 +361,30 @@ def write_csv(path, header: list[str], lines) -> None:
             fh.write(blank if line == "\n" else line)
 
 
-# A finite "%.17g" or "%d" token holds neither "n" nor "i", so in a line of
-# numbers these replacements touch only the non-finite cells, and give what
-# _cell gives for them ("nan" -> "", "inf" -> "Infinity", "-inf" -> "-Infinity").
+# A finite "%.17g" token holds neither "n" nor "i", so in a line of numbers
+# these replacements touch only the non-finite cells, and give what _cell
+# gives for them ("nan" -> "", "inf" -> "Infinity", "-inf" -> "-Infinity").
 _NONFINITE = (("nan", ""), ("inf", "Infinity"))
 
 
-def _matrix_lines(matrix: np.ndarray, fmt: str = "%.17g"):
-    """The CSV lines of a numeric matrix, one row template at a time; each
-    cell reads as ``_cell`` writes it ("%.17g" % x is format(x, ".17g"))."""
-    template = ",".join([fmt] * matrix.shape[1]) + "\n"
-    finite = np.isfinite(matrix).all(axis=1)
-    for row, ok in zip(matrix, finite):
-        line = template % tuple(row.tolist())
+def csv_rows(columns):
+    """The CSV lines of a table given as its columns (a matrix ``m`` as ``m.T``),
+    each cell as ``_cell`` writes it. Float cells fill the "%.17g" slots of one
+    row template ("%.17g" % x is format(x, ".17g")); their non-finite tokens are
+    fixed before the other cells, quoted beforehand, fill the "%s" slots."""
+    columns = [np.asarray(c) for c in columns]
+    floats = [c.dtype.kind == "f" for c in columns]
+    template = ",".join("%.17g" if f else "%%s" for f in floats) + "\n"
+    n = len(columns[0])
+    matrix = np.column_stack([c for c, f in zip(columns, floats) if f] or [np.empty((n, 0))])
+    others = [[_quoted(_cell(v)) for v in c] for c, f in zip(columns, floats) if not f]
+    finite = np.isfinite(matrix).all(axis=1).tolist()
+    for row, ok, cells in zip(matrix.tolist(), finite, zip(*others) if others else [()] * n):
+        line = template % tuple(row)
         if not ok:
             for token, cell in _NONFINITE:
                 line = line.replace(token, cell)
-        yield line
-
-
-def _raw_lines(columns: dict[str, np.ndarray]):
-    """The CSV lines of a raw table's columns: float cells by "%.17g" in one
-    row template, every other cell through ``_cell`` and quoted beforehand.
-    A row with a non-finite float takes ``_cell`` for each of its cells."""
-    arrays = list(columns.values())
-    floats = [a.dtype.kind == "f" for a in arrays]
-    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
-    n = len(arrays[0]) if arrays else 0
-    matrix = np.column_stack([a for a, f in zip(arrays, floats) if f] or [np.empty((n, 0))])
-    others = [(j, [_quoted(_cell(v)) for v in a]) for j, (a, f) in enumerate(zip(arrays, floats))
-              if not f]
-    finite = np.isfinite(matrix).all(axis=1)
-    for i in range(n):
-        ok = finite[i]
-        row = matrix[i].tolist() if ok else [_cell(x) for x in matrix[i].tolist()]
-        for j, cells in others:  # ascending columns, so each lands at its own index
-            row.insert(j, cells[i])
-        yield template % tuple(row) if ok else ",".join(row) + "\n"
+        yield line % cells
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -466,11 +459,11 @@ def save_dataset(ds: TabularDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = list(ds.response_names)
-    write_csv(out / FEATURES_FILE, ds.schema.column_names(), _matrix_lines(ds.X))
-    write_csv(out / RESPONSES_CONT_FILE, names, _matrix_lines(ds.Y_cont))
-    write_csv(out / RESPONSES_BIN_FILE, names, _matrix_lines(ds.Y_bin))
-    write_csv(out / MASK_FILE, names, _matrix_lines(ds.M.astype(np.int64), "%d"))
-    write_csv(out / BLOCKS_FILE, ["block"], (csv_line([_cell(b)]) for b in ds.blocks))
+    write_csv(out / FEATURES_FILE, ds.schema.column_names(), csv_rows(ds.X.T))
+    write_csv(out / RESPONSES_CONT_FILE, names, csv_rows(ds.Y_cont.T))
+    write_csv(out / RESPONSES_BIN_FILE, names, csv_rows(ds.Y_bin.T))
+    write_csv(out / MASK_FILE, names, csv_rows(ds.M.T))  # 0.0 and 1.0 write as 0 and 1
+    write_csv(out / BLOCKS_FILE, ["block"], csv_rows([ds.blocks]))
     ds.schema.save(out / SCHEMA_FILE)
 
 
@@ -507,8 +500,8 @@ RAW_FILES = (RAW_FILE, RAW_RESPONSES_FILE, RAW_LOQ_FILE, RAW_META_FILE)
 def save_raw_table(raw: RawTable, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / RAW_FILE, list(raw.columns), _raw_lines(raw.columns))
-    write_csv(out / RAW_RESPONSES_FILE, list(raw.response_names), _matrix_lines(raw.responses))
+    write_csv(out / RAW_FILE, list(raw.columns), csv_rows(raw.columns.values()))
+    write_csv(out / RAW_RESPONSES_FILE, list(raw.response_names), csv_rows(raw.responses.T))
     jsonio.dump({n: float(q) for n, q in zip(raw.response_names, raw.loq)}, out / RAW_LOQ_FILE)
     raw.meta.save(out / RAW_META_FILE)
 

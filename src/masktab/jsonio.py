@@ -29,9 +29,9 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _encode(obj, level: int) -> str:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -46,7 +46,7 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_encode(v, indent, level + 1) for v in obj]
+        items = [_encode(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad + s for s in items) + "\n" + close_pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -56,20 +56,20 @@ def _encode(obj, indent: int, level: int) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
             items.append(pad + json.dumps(key, ensure_ascii=False) + ": "
-                         + _encode(obj[key], indent, level + 1))
+                         + _encode(obj[key], level + 1))
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     # numpy scalars and arrays arrive via .item() / .tolist() upstream; anything
     # else here is a bug in the caller.
     if hasattr(obj, "item") and not hasattr(obj, "__len__"):
-        return _encode(obj.item(), indent, level)
+        return _encode(obj.item(), level)
     if hasattr(obj, "tolist"):
-        return _encode(obj.tolist(), indent, level)
+        return _encode(obj.tolist(), level)
     raise TypeError(f"not JSON-serialisable: {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Canonical JSON: sorted keys, fixed float formatting, trailing newline."""
-    return _encode(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    """Canonical JSON: sorted keys, two-space indent, fixed floats, trailing newline."""
+    return _encode(obj, 0) + "\n"
 
 
 @contextlib.contextmanager

@@ -30,9 +30,6 @@ class ResponseMetrics:
     auc: float | None = None
     flags: list[str] = field(default_factory=list)
 
-    def metric(self, key: str) -> float | None:
-        return getattr(self, key)
-
 
 @dataclass
 class EvalReport(jsonio.Document):
@@ -42,7 +39,7 @@ class EvalReport(jsonio.Document):
     def averages(self) -> dict[str, float | None]:
         out: dict[str, float | None] = {}
         for key in METRIC_NAMES:
-            vals = [r.metric(key) for r in self.per_response if r.metric(key) is not None]
+            vals = [getattr(r, key) for r in self.per_response if getattr(r, key) is not None]
             out[key] = float(np.mean(vals)) if vals else None
         return out
 
@@ -183,11 +180,8 @@ def winner_ranking(reports: dict[str, EvalReport]) -> dict:
     total = 0
     for k, resp in enumerate(responses):
         for metric in METRIC_NAMES:
-            scored = [
-                (n, reports[n].per_response[k].metric(metric))
-                for n in names
-                if reports[n].per_response[k].metric(metric) is not None
-            ]
+            scored = [(n, getattr(reports[n].per_response[k], metric)) for n in names
+                      if getattr(reports[n].per_response[k], metric) is not None]
             if not scored:
                 continue
             total += 1

@@ -41,6 +41,11 @@ CHECKPOINT_VERSION = 1
 # runs on two threads at once (see adam_step).
 ADAM_BLOCK = 1 << 15
 
+# Adam's moment decay rates and the denominator's guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class LayerSpec(jsonio.Document):
@@ -315,16 +320,13 @@ def backward(
     for head in upstream:
         if head not in params.heads:
             raise KeyError(f"unknown head {head!r}")
-    if out is None:
-        grads = params.zeros_like()
-    elif _layout(out) != _layout(params):
+    grads = params.zeros_like() if out is None else out
+    if _layout(grads) != _layout(params):
         raise ValueError("gradient buffer structure does not match parameters")
-    else:
-        grads = out
-        for head in params.heads.keys() - upstream.keys():
-            for layer in grads.heads[head]:
-                layer.W[...] = 0.0
-                layer.b[...] = 0.0
+    for head in params.heads.keys() - upstream.keys():
+        for layer in grads.heads[head]:
+            layer.W[...] = 0.0
+            layer.b[...] = 0.0
     into_backbone = bool(params.backbone)
     if into_backbone:
         trunk_delta = np.zeros_like(cache.backbone[-1].a)
@@ -346,9 +348,6 @@ class AdamState:
     """First/second moment accumulators, flat and aligned with NetworkParams.flat."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -399,8 +398,7 @@ def _adam_blocks(p: np.ndarray, g: np.ndarray, state: AdamState,
     """The Adam update of the ``ADAM_BLOCK`` blocks of the flat vectors whose
     starts it takes from ``starts`` until none is left, through scratch rows
     of its own; numpy only."""
-    b1, b2 = state.beta1, state.beta2
-    lr, eps = state.learning_rate, state.epsilon
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.learning_rate
     scratch = np.empty((2, min(ADAM_BLOCK, p.size)))
     while True:
         try:
@@ -422,7 +420,7 @@ def _adam_blocks(p: np.ndarray, g: np.ndarray, state: AdamState,
         # p -= (lr*m_hat) / (sqrt(v_hat) + eps)
         np.divide(vb, c2, out=s)
         np.sqrt(s, out=s)
-        np.add(s, eps, out=s)
+        np.add(s, ADAM_EPSILON, out=s)
         np.divide(mb, c1, out=u)
         np.multiply(u, lr, out=u)
         np.divide(u, s, out=u)
@@ -453,7 +451,7 @@ def adam_step(
         raise FloatingPointError(f"non-finite gradient for {_first_non_finite(grads)}")
     state.step += 1
     t = state.step
-    c1, c2 = 1.0 - state.beta1**t, 1.0 - state.beta2**t
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     starts = deque(range(0, p.size, ADAM_BLOCK))
     # a threaded BLAS's idle threads spin on the other cores, where a worker
     # made a training step slower than none (README, "Training engine")

@@ -19,6 +19,7 @@ from .data_model import (
     SchemaEntry,
     SplitAssignment,
     TabularDataset,
+    first_violation,
     validate,
 )
 from .jsonio import setting
@@ -34,6 +35,11 @@ _MAGNUS_B = 243.04
 SPARSE_THRESHOLD = 0.95
 
 
+def _where(a: np.ndarray, i: int) -> str:
+    """Flat index ``i`` of ``a`` as an error's prefix: a row, a flat index, or none."""
+    return f"row {i}: " if a.ndim == 1 else f"flat index {i}: " if a.ndim else ""
+
+
 def encode_day_of_year(d):
     """Map day-of-year onto the unit circle: (sin(2*pi*d/365), cos(2*pi*d/365)).
 
@@ -44,9 +50,9 @@ def encode_day_of_year(d):
     arr = np.asarray(d, dtype=np.float64)
     bad = ~((arr >= 1) & (arr <= 366))  # NaN fails both comparisons
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        where = f"row {i}: " if arr.ndim == 1 else f"flat index {i}: " if arr.ndim else ""
-        raise ValueError(f"{where}day of year {float(arr.flat[i])!r} out of range [1, 366]")
+        i = int(np.argmax(bad))
+        day = float(arr.flat[i])
+        raise ValueError(f"{_where(bad, i)}day of year {day!r} out of range [1, 366]")
     angle = 2.0 * np.pi * arr / DAYS_PER_YEAR
     s, c = np.sin(angle), np.cos(angle)
     if np.isscalar(d) or arr.ndim == 0:
@@ -59,17 +65,24 @@ def relative_humidity(T, T_d):
 
     Uses the August-Roche-Magnus saturation-pressure ratio. Supersaturated
     inputs (dew point above air temperature) are clamped to 100 with a logged
-    warning; reanalysis grids occasionally produce such cells.
+    warning; reanalysis grids occasionally produce such cells. Any other pair
+    without a finite humidity raises ValueError naming it (and a 1-d row).
     """
     t = np.asarray(T, dtype=np.float64)
     td = np.asarray(T_d, dtype=np.float64)
-    if np.any(~np.isfinite(t)) or np.any(~np.isfinite(td)):
-        raise ValueError("non-finite temperature input")
-    if np.any(t <= -_MAGNUS_B) or np.any(td <= -_MAGNUS_B):
-        raise ValueError(f"temperature at or below {-_MAGNUS_B} C")
-    rh = 100.0 * np.exp(_MAGNUS_A * td / (_MAGNUS_B + td)) / np.exp(
-        _MAGNUS_A * t / (_MAGNUS_B + t)
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        e_t, e_td = _MAGNUS_A * t / (_MAGNUS_B + t), _MAGNUS_A * td / (_MAGNUS_B + td)
+        rh = 100.0 * np.exp(e_td) / np.exp(e_t)
+    for bad, problem in [  # each mask broadcasts to rh's shape
+        (~(np.isfinite(t) & np.isfinite(td)), "is not finite"),
+        ((t <= -_MAGNUS_B) | (td <= -_MAGNUS_B), f"lies at or below {-_MAGNUS_B} C"),
+        (np.isinf(e_t) | np.isinf(e_td) | np.isnan(rh), "has no finite Magnus humidity"),
+    ]:
+        if bad.any():
+            i = int(np.argmax(bad))
+            pair = [float(np.broadcast_to(a, bad.shape).flat[i]) for a in (t, td)]
+            raise ValueError(f"{_where(bad, i)}temperature {pair[0]!r} with dew point "
+                             f"{pair[1]!r} {problem}")
     clamped = rh > 100.0
     n_clamped = int(np.count_nonzero(clamped))
     if n_clamped:
@@ -200,18 +213,24 @@ class _Builder:
         self.columns.append(column)
 
     def add_continuous(self, name: str, values: np.ndarray) -> None:
-        """Impute with the training median, z-score with training statistics."""
+        """Impute with the training median, z-score with training statistics;
+        cells too large for these sums raise ValueError naming the column."""
         vals = np.asarray(values, dtype=np.float64)
-        vals = self.impute(name, vals, np.isnan(vals), np.median)
-        if vals is None:
-            return
-        mean = float(vals[self.train_rows].mean())
-        std = float(vals[self.train_rows].std())  # population stdev
-        if std == 0.0:
-            self.report.columns_dropped[name] = "constant"
-            return
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            vals = self.impute(name, vals, np.isnan(vals), np.median)
+            if vals is None:
+                return
+            mean = float(vals[self.train_rows].mean())
+            std = float(vals[self.train_rows].std())  # population stdev
+            if std == 0.0:
+                self.report.columns_dropped[name] = "constant"
+                return
+            z = (vals - mean) / std
+        if not (math.isfinite(std) and np.isfinite(z).all()):  # an infinite std gives zeros
+            raise ValueError(f"column {name!r}: z-scores are not finite (training mean "
+                             f"{mean!r}, standard deviation {std!r})")
         self.report.normalisation_stats[name] = NormStats(mean, std)
-        self._add((vals - mean) / std, name, "continuous")
+        self._add(z, name, "continuous")
 
     def add_categorical(self, name: str, values) -> None:
         """Impute with the training mode, expand to one indicator per level.
@@ -288,11 +307,16 @@ def encode_and_normalise(
         for i, (t_col, d_col) in enumerate(
             zip(meta.temperature_lag_columns, meta.dew_point_lag_columns), start=1
         ):
-            # humidity where both lags are known; add_continuous imputes the rest
+            # humidity where both lags are known; add_continuous imputes the
+            # rest. A missing pair passes 0 C for both (100%), so that an
+            # error names the raw row
             t, d = (np.asarray(raw.columns[c], dtype=np.float64) for c in (t_col, d_col))
-            known = ~(np.isnan(t) | np.isnan(d))
-            rh = np.full_like(t, np.nan)
-            rh[known] = relative_humidity(t[known], d[known])
+            missing = np.isnan(t) | np.isnan(d)
+            try:
+                rh = relative_humidity(np.where(missing, 0.0, t), np.where(missing, 0.0, d))
+            except ValueError as exc:
+                raise ValueError(f"columns {t_col!r} and {d_col!r}, {exc}") from None
+            rh[missing] = np.nan
             b.add_continuous(f"{meta.humidity_prefix}_{i:02d}", rh)
     for name in meta.precipitation_lag_columns:
         b.add_continuous(name, raw.columns[name])
@@ -507,12 +531,12 @@ def _partition_blocks(
         if fits.all():
             keys = [
                 (_divergence(side_pos[0] + pos[blk], side_obs[0] + obs[blk],
-                             side_pos[1], side_obs[1]), -room[0] / caps[0], True),
+                             side_pos[1], side_obs[1]), -room[0] / caps[0]),
                 (_divergence(side_pos[0], side_obs[0],
                              side_pos[1] + pos[blk], side_obs[1] + obs[blk]),
-                 -room[1] / caps[1], False),
+                 -room[1] / caps[1]),
             ]
-            choice = 0 if keys[0] < keys[1] else 1
+            choice = 0 if keys[0] < keys[1] else 1  # equal keys go to rest
         else:
             # the side with more room, which is the side that fits: the rooms
             # sum to the rows not yet placed, this block's included, so one
@@ -629,5 +653,5 @@ def preprocess_raw(
     ds, report = encode_and_normalise(raw, split.train_rows)
     bad = validate(ds)
     if bad:
-        raise ValueError(f"preprocessed dataset is invalid: {bad[0]}")
+        raise ValueError(f"preprocessed dataset is invalid: {first_violation(bad)}")
     return ds, split, report

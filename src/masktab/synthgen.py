@@ -136,6 +136,13 @@ class SynthConfig(jsonio.Document):
             profile = getattr(self, name)
             if profile is not None and len(profile) != self.n_responses:
                 raise SettingError(name, f"needs {self.n_responses} entries, got {len(profile)}")
+        for i, p in enumerate(self.planted_effects or ()):
+            if p.variable not in LAG_AGGREGATES + CONTINUOUS_AGRONOMICS:
+                raise SettingError(f"planted_effects[{i}].variable",
+                                   f"{p.variable!r} not in generated schema")
+            if p.response >= self.n_responses:
+                raise SettingError(f"planted_effects[{i}].response", f"index {p.response} "
+                                   f"out of range for {self.n_responses} responses")
 
     def resolved_profile(self, kind: str) -> np.ndarray:
         """Per-response ``kind`` ("missingness", "occurrence"): as configured, or survey-shaped."""
@@ -149,13 +156,6 @@ class SynthConfig(jsonio.Document):
     def resolved_planted(self) -> tuple[PlantedEffect, ...]:
         if self.planted_effects is None:
             return default_planted_effects(self.n_responses)
-        for i, p in enumerate(self.planted_effects):
-            if p.variable not in LAG_AGGREGATES + CONTINUOUS_AGRONOMICS:
-                raise SettingError(f"planted_effects[{i}].variable",
-                                   f"{p.variable!r} not in generated schema")
-            if p.response >= self.n_responses:
-                raise SettingError(f"planted_effects[{i}].response", f"index {p.response} "
-                                   f"out of range for {self.n_responses} responses")
         return self.planted_effects
 
     def response_names(self) -> tuple[str, ...]:

@@ -30,6 +30,7 @@ from .nn_core import DenseLayer, NetworkParams, activate, forward
 
 TASKS = ("regression", "classification")
 IMPORTANCE_MODES = ("grouped", "per-column")
+TOP_N = 10  # the length of each task's top list that rank_importance intersects
 
 _LAG_RE = re.compile(r"^(.+)_lag_\d+$")
 _SINCOS_RE = re.compile(r"^(.+)_(sin|cos)$")
@@ -229,7 +230,6 @@ def importance_report(
     n_repeats: int = 30,
     seed: int = 0,
     groups: dict[str, list[int]] | None = None,
-    rows_label: str = "test",
 ) -> ImportanceReport:
     """Importance of every predictor group, for both tasks."""
     if groups is None:
@@ -243,19 +243,17 @@ def importance_report(
     for task in TASKS:
         t = _task_rows(params, ds, rows, task)
         entries.extend(_group_entry(t, g, groups[g], n_repeats, seed) for g in sorted(groups))
-    return ImportanceReport(
-        entries=entries, groups=groups, mode=mode, n_repeats=n_repeats, seed=seed,
-        rows_label=rows_label,
-    )
+    return ImportanceReport(entries=entries, groups=groups, mode=mode, n_repeats=n_repeats,
+                            seed=seed)
 
 
-def rank_importance(report: ImportanceReport, top_n: int = 10) -> dict:
-    """Descending importance per task plus the overlap of the two top lists.
+def rank_importance(report: ImportanceReport) -> dict:
+    """Descending importance per task plus the overlap of the two top-``TOP_N`` lists.
 
     Ties rank in schema order (a group's first column index).
     """
     first_col = {g: min(cols) for g, cols in report.groups.items()}
-    out: dict = {"version": 1, "top_n": top_n}
+    out: dict = {"version": 1, "top_n": TOP_N}
     tops: dict[str, list[str]] = {}
     for task in TASKS:
         ranked = sorted(
@@ -264,7 +262,7 @@ def rank_importance(report: ImportanceReport, top_n: int = 10) -> dict:
         out[task] = [
             {"group": e.group, "importance_pct": e.importance_pct} for e in ranked
         ]
-        tops[task] = [e.group for e in ranked[:top_n]]
+        tops[task] = [e.group for e in ranked[:TOP_N]]
     inter = [g for g in tops["regression"] if g in set(tops["classification"])]
     out["intersection"] = inter
     return out

@@ -93,6 +93,14 @@ STAGE_SHA256 = {
 }
 
 
+# a planted effect the generator cannot plant, and the dotted path named for it
+PLANTED_ERRORS = [
+    ({"variable": "bogus", "response": 0, "size": 1.0}, "synth.planted_effects[0].variable"),
+    ({"variable": "seed_moisture", "response": 4, "size": 1.0},
+     "synth.planted_effects[0].response"),
+]
+
+
 def write_json(path, obj):
     jsonio.dump(obj, path)
     return str(path)
@@ -423,6 +431,39 @@ class TestExitCodes:
         assert "data error" in err and named in err
         assert not out.exists()
 
+    @staticmethod
+    def every_one_made_two(ds_dir):
+        cells = ds_dir / "responses_bin.csv"
+        lines = cells.read_text().splitlines(keepends=True)
+        cells.write_text(lines[0] + "".join(line.replace("1", "2") for line in lines[1:]))
+        return f"invalid dataset {ds_dir}: observed Y_bin not in {{0,1}} at "
+
+    @staticmethod
+    def even_rows_train_odd_rows_test(ds_dir):
+        n = load_dataset(ds_dir).n_samples
+        SplitAssignment(train_rows=list(range(0, n, 2)),
+                        test_rows=list(range(1, n, 2))).save(ds_dir / "split.json")
+        return "invalid split for dataset: block "
+
+    @pytest.mark.parametrize("damage", ["every_one_made_two", "even_rows_train_odd_rows_test"],
+                             ids=["dataset", "split"])
+    def test_invalid_input_message_is_one_bounded_line(self, pipeline_dir, tmp_path, capsys,
+                                                       damage):
+        # one violation per bad cell or leaking block: the message gives the
+        # first and the number of the rest
+        ds_dir = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", ds_dir)
+        start = getattr(self, damage)(ds_dir)
+        out = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+            "--model", "baseline", "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {start}" in err
+        assert err.endswith(" more)\n") and err.count("\n") == 1 and len(err) < 300
+        assert not out.exists()
+
     def test_short_raw_row_is_data_error(self, pipeline_dir, tmp_path, capsys):
         raw_dir = tmp_path / "raw"
         shutil.copytree(pipeline_dir / "raw", raw_dir)
@@ -487,19 +528,42 @@ class TestExitCodes:
         counts = json.loads((out / "preprocess_report.json").read_text())["imputation_counts"]
         assert counts["soil_ph"] == 1
 
-    def test_dataset_breaking_an_invariant_is_not_written(self, pipeline_dir, tmp_path, capsys):
-        # two huge latitudes overflow the column's training mean, and the
-        # encoded column would break a dataset invariant
+    @pytest.mark.parametrize("column, where, value, stats", [
+        ("latitude", [0, 1], "1e308", "training mean inf, standard deviation inf"),
+        ("soil_ph", "test", "1.7e308", "training mean 6.6"),
+    ], ids=["training-rows", "test-row"])
+    def test_huge_cells_are_data_error_without_warning(self, pipeline_dir, tmp_path, capsys,
+                                                       column, where, value, stats):
+        # huge cells overflow the column's training statistics, or a test
+        # row's z-score (soil pH's deviation is below 1): one line naming the
+        # column, no numpy warning, and no dataset written
+        seed = str(derive_seed(SMALL_PIPELINE["seed"], "preprocess"))  # pipeline_dir's split
+        rows = where
+        if where == "test":
+            rows = SplitAssignment.load(pipeline_dir / "dataset" / "split.json").test_rows[:1]
         raw_dir = tmp_path / "raw"
         shutil.copytree(pipeline_dir / "raw", raw_dir)
-        self.edit_raw_cells(raw_dir, "latitude", [0, 1], "1e308")
+        self.edit_raw_cells(raw_dir, column, rows, value)
         out = tmp_path / "dataset"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_DATA
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["preprocess", "--in", str(raw_dir), "--out", str(out),
+                         "--seed", seed]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "data error: preprocessed dataset is invalid: " in err
-        assert "column 'latitude'" in err and err.count("\n") == 1
+        assert f"data error: column {column!r}: z-scores are not finite ({stats}" in err
+        assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_huge_dew_point_is_data_error_naming_the_lag_pair(self, pipeline_dir, tmp_path,
+                                                              capsys):
+        # the Magnus exponent overflows; it used to clamp the humidity to 100
+        code, err = self.preprocess_damaged(pipeline_dir, tmp_path, capsys, "raw.csv",
+                                            "dew_lag_02", 5, "1e308")
+        assert code == EXIT_DATA
+        assert "data error: columns 'temp_lag_02' and 'dew_lag_02', row 5: temperature " in err
+        assert err.endswith(" with dew point 1e+308 has no finite Magnus humidity\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_blank_lag_cells_are_imputed(self, pipeline_dir, tmp_path):
         raw_dir = tmp_path / "raw"
@@ -841,11 +905,7 @@ class TestStrictSettings:
         assert "config error" in err and source in err and "seed must lie in [0, inf)" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("effect, named", [
-        ({"variable": "bogus", "response": 0, "size": 1.0}, "synth.planted_effects[0].variable"),
-        ({"variable": "seed_moisture", "response": 4, "size": 1.0},
-         "synth.planted_effects[0].response"),
-    ], ids=["variable", "response"])
+    @pytest.mark.parametrize("effect, named", PLANTED_ERRORS, ids=["variable", "response"])
     def test_planted_effect_error_before_any_directory(self, tmp_path, capsys, effect, named):
         synth = {**SMALL_SYNTH, "planted_effects": [effect]}
         cfg = write_json(tmp_path / "p.json", {**SMALL_PIPELINE, "synth": synth})
@@ -853,6 +913,18 @@ class TestStrictSettings:
         assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("effect, named", PLANTED_ERRORS, ids=["variable", "response"])
+    def test_generate_rejects_planted_effect_on_reading_config(self, tmp_path, capsys,
+                                                               monkeypatch, effect, named):
+        # the config is refused as it is read: generation never starts
+        monkeypatch.setattr("masktab.cli.generate", lambda cfg: pytest.fail("generate ran"))
+        cfg = write_json(tmp_path / "s.json", {**SMALL_SYNTH, "planted_effects": [effect]})
+        out = tmp_path / "raw"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and named.removeprefix("synth.") in err
         assert not out.exists()
 
     def test_negative_pipeline_seed_is_only_hashed(self, tmp_path, monkeypatch):

@@ -14,11 +14,10 @@ from masktab.data_model import (
     RawTable,
     SplitAssignment,
     _floats,
-    _matrix_lines,
     _parse_body,
-    _raw_lines,
     _read_csv,
     _read_matrix,
+    csv_rows,
     load_dataset,
     load_raw_table,
     save_dataset,
@@ -174,7 +173,7 @@ class TestSplitAssignment:
 
 
 # ---------------------------------------------------------------------------
-# The CSV writers against the per-cell writer they replace
+# The CSV row writer against the per-cell writer it replaces
 # ---------------------------------------------------------------------------
 
 def _oracle_cell(value) -> str:
@@ -216,7 +215,7 @@ class TestCsvOracle:
         m.flat[:len(values)] = values[:m.size]
         header = [f"c{j}" for j in range(shape[1])]
         path = tmp_path / "m.csv"
-        write_csv(path, header, _matrix_lines(m))
+        write_csv(path, header, csv_rows(m.T))
         assert path.read_bytes() == _oracle_csv(header, m)
         csv_header, cells = _read_csv(path)
         assert np.array_equal(_bits(_floats(cells)), _bits(m))
@@ -229,13 +228,13 @@ class TestCsvOracle:
 
     def test_lone_empty_cell_is_quoted_as_csv_writes_it(self, tmp_path):
         m = np.array([[math.nan], [1.0], [math.nan]])
-        write_csv(tmp_path / "m.csv", ["only"], _matrix_lines(m))
+        write_csv(tmp_path / "m.csv", ["only"], csv_rows(m.T))
         assert (tmp_path / "m.csv").read_bytes() == _oracle_csv(["only"], m) == b'only\n""\n1\n""\n'
         assert np.array_equal(_bits(_read_matrix(tmp_path / "m.csv")[1]), _bits(m))
 
     def test_int_mask_matches_oracle(self, tmp_path):
         mask = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int64)
-        write_csv(tmp_path / "mask.csv", ["a", "b", "c"], _matrix_lines(mask, "%d"))
+        write_csv(tmp_path / "mask.csv", ["a", "b", "c"], csv_rows(mask.T))
         assert (tmp_path / "mask.csv").read_bytes() == _oracle_csv(["a", "b", "c"], mask)
         assert np.array_equal(_read_matrix(tmp_path / "mask.csv")[1], mask)
 
@@ -317,7 +316,7 @@ class TestCsvOracle:
         np.array([1.5, math.nan, -math.inf, 0.0]),
     ], ids=["categorical", "float"])
     def test_one_column_raw_table_matches_oracle(self, tmp_path, column):
-        write_csv(tmp_path / "raw.csv", ["only"], _raw_lines({"only": column}))
+        write_csv(tmp_path / "raw.csv", ["only"], csv_rows([column]))
         assert (tmp_path / "raw.csv").read_bytes() == _oracle_csv(["only"], [[v] for v in column])
 
 

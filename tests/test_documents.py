@@ -220,6 +220,14 @@ def test_construction_and_decoding_share_one_rule(build, message):
                                                   "missingness_profile": [0.1, 0.2]}}),
      "synth.missingness_profile"),
     (lambda: PipelineConfig(models=()), "models"),
+    (lambda: SynthConfig(planted_effects=(PlantedEffect("yield", 0, 1.0),
+                                          PlantedEffect("bogus", 0, 1.0))),
+     "planted_effects[1].variable"),
+    (lambda: SynthConfig(n_responses=2, planted_effects=(PlantedEffect("seed_moisture", 2, 1.0),)),
+     "planted_effects[0].response"),
+    (lambda: PipelineConfig.from_dict({"synth": {"planted_effects": [
+        {"variable": "seed_moisture", "response": 24, "size": 1.0}]}}),
+     "synth.planted_effects[0].response"),
 ])
 def test_cross_field_rules_name_the_field(build, path):
     with pytest.raises(jsonio.SettingError) as info:

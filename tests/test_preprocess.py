@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,26 @@ class TestRelativeHumidity:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             relative_humidity(float("nan"), 5.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t, td, message", [
+        ([10.0, 12.0], [5.0, 1e308], "row 1: temperature 12.0 with dew point 1e+308 has no "
+                                     "finite Magnus humidity"),
+        ([1e308], [5.0], "row 0: temperature 1e+308 with dew point 5.0 has no finite"),
+        ([20.0, -243.0], [10.0, -243.03], "row 1: temperature -243.0 with dew point -243.03 "
+                                          "has no finite"),  # both exponentials underflow
+        ([20.0, -250.0], [10.0, 0.0], "row 1: temperature -250.0 with dew point 0.0 lies at "
+                                      "or below -243.04 C"),
+    ], ids=["huge-dew-point", "huge-temperature", "both-near-floor", "below-floor"])
+    def test_pair_without_finite_humidity_named_without_warning(self, t, td, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            relative_humidity(np.array(t), np.array(td))
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_air_term_is_supersaturation(self):
+        # exp of the air temperature's exponent underflows to 0: an infinite
+        # ratio, clamped to 100 like any dew point above the air temperature
+        assert relative_humidity(-243.0, 10.0) == 100.0
 
 
 class TestTransformResponses:
@@ -299,6 +320,30 @@ class TestEncodeAndNormalise:
         assert counts["humidity_lag_02"] == 2 and counts["humidity_lag_05"] == 1
         assert "humidity_lag_01" not in counts
         assert validate(ds) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_training_values_named_by_column(self):
+        raw = tiny_raw()
+        raw.columns["moisture"][:2] = 1e308
+        with pytest.raises(ValueError, match=r"^column 'moisture': z-scores are not finite "
+                                             r"\(training mean inf, standard deviation inf\)$"):
+            encode_and_normalise(raw, np.arange(6))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_test_value_named_by_column(self):
+        raw = tiny_raw()
+        raw.columns["moisture"][:6] = np.arange(6) / 10.0  # a training deviation below 1
+        raw.columns["moisture"][9] = -1.7e308
+        with pytest.raises(ValueError, match=r"^column 'moisture': z-scores are not finite "
+                                             r"\(training mean 0\.25, standard deviation "):
+            encode_and_normalise(raw, np.arange(6))
+
+    def test_invalid_dataset_reports_first_violation_and_count(self, monkeypatch):
+        cfg = SynthConfig(n_samples=30, n_sites=10, n_responses=3, weather_lag_days=5, seed=3)
+        monkeypatch.setattr(preprocess, "validate", lambda ds: ["first", "second", "third"])
+        with pytest.raises(ValueError, match=r"^preprocessed dataset is invalid: first "
+                                             r"\(and 2 more\)$"):
+            preprocess_raw(generate(cfg), seed=0)
 
     def test_validate_clean_after_pipeline(self):
         cfg = SynthConfig(n_samples=50, n_sites=15, n_responses=4, weather_lag_days=8, seed=11)

@@ -77,14 +77,12 @@ class TestGenerate:
         np.testing.assert_allclose(rate, cfg.occurrence_profile, atol=0.06)
 
     def test_unknown_planted_variable_rejected(self):
-        cfg = small_cfg(planted_effects=(PlantedEffect("not_a_column", 0, 1.0),))
         with pytest.raises(ValueError, match="not in generated schema"):
-            generate(cfg)
+            small_cfg(planted_effects=(PlantedEffect("not_a_column", 0, 1.0),))
 
     def test_out_of_range_planted_response_rejected(self):
-        cfg = small_cfg(planted_effects=(PlantedEffect("seed_moisture", 99, 1.0),))
         with pytest.raises(ValueError, match="out of range"):
-            generate(cfg)
+            small_cfg(planted_effects=(PlantedEffect("seed_moisture", 99, 1.0),))
 
     def test_bad_missing_fraction_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
