@@ -7,7 +7,13 @@ learning, per-response evaluation, and grouped permutation variable
 importance.
 """
 
+import logging
+
 __version__ = "0.2.0"
+
+# a library's records reach only the handlers its application configures;
+# without one, Python's last-resort handler would print warnings on stderr
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .data_model import (  # noqa: F401
     FeatureSchema,

@@ -207,7 +207,7 @@ def _load_checkpoint(ckpt, ds) -> nn_core.NetworkParams:
     predict its responses with a ``cont`` and a ``bin`` head."""
     try:
         params, _ = nn_core.load_checkpoint(ckpt)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a required key left out
         raise DataError(f"unreadable checkpoint {ckpt}: {exc}") from exc
     for head in ("cont", "bin"):
         if head not in params.heads:
@@ -385,57 +385,39 @@ def cmd_report(args) -> int:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-class _Manifest:
-    def __init__(self, root: Path, global_seed: int, stage_seeds: dict[str, int]):
-        self.root = root
-        self.path = root / "manifest.json"
-        self.doc = {
-            "version": 1,
-            "package_version": __version__,
-            "global_seed": global_seed,
-            "stage_seeds": stage_seeds,
-            "stages": {},
-            "completed": [],
-        }
-        if self.path.exists():
-            try:
-                existing = jsonio.load(self.path)
-            except ValueError:  # not JSON, or not UTF-8
-                existing = None
-            if not isinstance(existing, dict):
-                print(f"masktab: manifest {self.path} is unreadable; every stage reruns",
-                      file=sys.stderr)
-            elif (
-                existing.get("global_seed") == global_seed
-                and existing.get("stage_seeds") == stage_seeds
-                and existing.get("package_version") == __version__
-            ):
-                self.doc = existing
+@dataclass
+class StageRecord(jsonio.Document):
+    """A completed stage: its config fingerprint and the sha256 of each output,
+    keyed by its path under the artifact directory."""
 
-    def stage_is_current(self, name: str, config_fp: str) -> bool:
-        rec = self.doc["stages"].get(name)
-        if not rec or rec.get("config") != config_fp:
-            return False
-        for rel, digest in rec.get("outputs", {}).items():
-            p = self.root / rel
-            if not p.is_file() or sha256_file(p) != digest:
-                return False
-        return True
+    VERSION = None
 
-    def record(self, name: str, config_fp: str, outputs: list[Path]) -> None:
-        rec = {
-            "config": config_fp,
-            "outputs": {
-                str(p.relative_to(self.root)): sha256_file(p) for p in sorted(outputs)
-            },
-        }
-        self.doc["stages"][name] = rec
-        if name not in self.doc["completed"]:
-            self.doc["completed"] = [s for s in PIPELINE_STAGES if s in set(self.doc["completed"]) | {name}]
-        self.save()
+    config: str
+    outputs: dict[str, str]
 
-    def save(self) -> None:
-        jsonio.dump(self.doc, self.path)
+
+@dataclass
+class Manifest(jsonio.Document):
+    """``manifest.json``: the seeds of a pipeline run and its completed stages."""
+
+    package_version: str
+    global_seed: int
+    stage_seeds: dict[str, int]
+    stages: dict[str, StageRecord] = field(default_factory=dict)
+    completed: tuple[str, ...] = ()
+
+
+def _open_manifest(path: Path, fresh: Manifest) -> Manifest:
+    """The manifest at ``path`` when it was written with ``fresh``'s version
+    and seeds, else ``fresh``; one stderr line when it cannot be read."""
+    if not path.exists():
+        return fresh
+    try:
+        old = Manifest.load(path)
+    except (TypeError, ValueError):  # not JSON, not UTF-8, or not a manifest
+        print(f"masktab: manifest {path} is unreadable; every stage reruns", file=sys.stderr)
+        return fresh
+    return old if dataclasses.replace(old, stages={}, completed=()) == fresh else fresh
 
 
 def _fingerprint(obj) -> str:
@@ -453,13 +435,21 @@ def _stage_scope(name: str):
         raise DataError(f"stage '{name}' failed: {exc}") from exc
 
 
-def _run_stage(manifest: _Manifest, force: bool, name: str, config_fp: str,
+def _run_stage(manifest: Manifest, root: Path, force: bool, name: str, config_fp: str,
                outputs: list[Path], run) -> None:
-    """Run a pipeline stage unless its config and outputs are current, then record it."""
-    if force or not manifest.stage_is_current(name, config_fp):
-        with _stage_scope(name):
-            run()
-        manifest.record(name, config_fp, outputs)
+    """Run a pipeline stage unless its config and every one of its outputs
+    are as recorded, then record it."""
+    files = {str(p.relative_to(root)): p for p in outputs}
+    rec = manifest.stages.get(name)
+    if (not force and rec is not None and rec.config == config_fp
+            and rec.outputs.keys() == files.keys()
+            and all(p.is_file() and sha256_file(p) == rec.outputs[k] for k, p in files.items())):
+        return
+    with _stage_scope(name):
+        run()
+    manifest.stages[name] = StageRecord(config_fp, {k: sha256_file(p) for k, p in files.items()})
+    manifest.completed = tuple(s for s in PIPELINE_STAGES if s in manifest.stages)
+    manifest.save(root / "manifest.json")
 
 
 @blas.one_thread()
@@ -488,7 +478,8 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(root, global_seed, stage_seeds)
+    manifest = _open_manifest(root / "manifest.json",
+                              Manifest(__version__, global_seed, stage_seeds))
     raw_dir = root / "raw"
     ds_dir = root / "dataset"
     ckpts = {m: root / f"ckpt_{m}.json" for m in cfg.models}
@@ -498,7 +489,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
 
     gen_fp = _fingerprint(synth_cfg.to_dict())
     _run_stage(
-        manifest, force, "generate", gen_fp,
+        manifest, root, force, "generate", gen_fp,
         [raw_dir / n for n in RAW_FILES],
         lambda: _generate_and_save(synth_cfg, raw_dir),
     )
@@ -507,7 +498,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
         {"pre": cfg.preprocess.to_dict(), "seed": stage_seeds["preprocess"], "raw": gen_fp}
     )
     _run_stage(
-        manifest, force, "preprocess", pre_fp,
+        manifest, root, force, "preprocess", pre_fp,
         [ds_dir / n for n in (*DATASET_FILES, "split.json", "preprocess_report.json")],
         lambda: _preprocess_and_save(raw_dir, ds_dir, cfg.preprocess, stage_seeds["preprocess"]),
     )
@@ -529,7 +520,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
         for m in cfg.models
     })
     _run_stage(
-        manifest, force, "train", train_fp,
+        manifest, root, force, "train", train_fp,
         [p for m in cfg.models for p in (ckpts[m], _history_path(ckpts[m]))]
         + ([pretrain_history] if pretrained else []),
         train_all,
@@ -545,7 +536,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
 
     eval_fp = _fingerprint({"train": train_fp, "threshold": cfg.threshold})
     _run_stage(
-        manifest, force, "evaluate", eval_fp,
+        manifest, root, force, "evaluate", eval_fp,
         [root / f"eval_{m}.json" for m in cfg.models] + [root / "winners.json"],
         evaluate_all,
     )
@@ -558,7 +549,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
          "best": best}
     )
     _run_stage(
-        manifest, force, "importance", imp_fp, [root / "importance.json"],
+        manifest, root, force, "importance", imp_fp, [root / "importance.json"],
         lambda: _importance_and_save(
             *load(), ckpts[best], cfg.importance, stage_seeds["importance"],
             root / "importance.json",
@@ -567,7 +558,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
 
     rep_fp = _fingerprint({"eval": eval_fp, "imp": imp_fp})
     _run_stage(
-        manifest, force, "report", rep_fp, list(_written_report_files(root).values()),
+        manifest, root, force, "report", rep_fp, list(_written_report_files(root).values()),
         lambda: write_report(root),
     )
     return root

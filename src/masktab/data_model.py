@@ -408,6 +408,21 @@ def _floats(cells: np.ndarray) -> np.ndarray:
     return np.where(cells == "", "nan", cells).astype(np.float64)
 
 
+def _text_cell_error(path, exc: ValueError, names=None) -> ValueError:
+    """``exc``, raised casting the columns ``names`` (default all) of the CSV at
+    ``path``, as the error naming the first row, then column, of a cell that
+    ``float`` does not read. It reads the file again: only a failed read pays."""
+    header, cells = _read_csv(path)
+    for i, row in enumerate(cells):
+        for name, cell in zip(header, row):
+            if cell != "" and (names is None or name in names):
+                try:
+                    float(cell)
+                except ValueError:
+                    return ValueError(f"{path} row {i}, column {name!r}: {cell!r} is not a number")
+    return exc
+
+
 def _nonblank(lines):
     """``lines``, raising ValueError at a blank one: loadtxt would skip it,
     where the csv path rejects it."""
@@ -517,17 +532,27 @@ def load_raw_table(in_dir) -> RawTable:
     if absent:
         raise ValueError(f"{src / RAW_FILE} has no column {absent[0]!r}, which "
                          f"{RAW_META_FILE} names")
-    columns = {name: _floats(col) if name in numeric else np.where(col == "", None, col)
-               for name, col in zip(header, cells.T)}
-    resp_header, responses = _read_matrix(src / RAW_RESPONSES_FILE)
+    try:
+        columns = {name: _floats(col) if name in numeric else np.where(col == "", None, col)
+                   for name, col in zip(header, cells.T)}
+    except ValueError as exc:
+        raise _text_cell_error(src / RAW_FILE, exc, numeric) from None
+    try:
+        resp_header, responses = _read_matrix(src / RAW_RESPONSES_FILE)
+    except ValueError as exc:
+        raise _text_cell_error(src / RAW_RESPONSES_FILE, exc) from None
     if len(responses) != len(cells):
         raise ValueError(f"{src / RAW_RESPONSES_FILE} has {len(responses)} rows, "
                          f"{RAW_FILE} has {len(cells)}")
-    loq_map = jsonio.load(src / RAW_LOQ_FILE)
+    loq = jsonio.decode(dict[str, float], jsonio.load(src / RAW_LOQ_FILE))
+    lacking = [n for n in resp_header if n not in loq]
+    if lacking:
+        raise ValueError(f"{src / RAW_RESPONSES_FILE} has column {lacking[0]!r}, which "
+                         f"{RAW_LOQ_FILE} lacks")
     return RawTable(
         columns=columns,
         meta=meta,
         responses=responses,
         response_names=tuple(resp_header),
-        loq=np.array([float(loq_map[n]) for n in resp_header], dtype=np.float64),
+        loq=np.array([loq[n] for n in resp_header], dtype=np.float64),
     )

@@ -5,6 +5,9 @@ Every numeric artifact is written with 17 significant digits so that a float64
 round-trips exactly and repeated runs produce byte-identical files. Keys are
 sorted, so a document's field order never reaches the bytes. A config setting
 declares its allowed values once, on its field (``setting``).
+
+Every JSON document masktab reads back is read by its type hints (``decode``),
+naming the key or value at fault; a ``version``, where present, must be its own.
 """
 
 import contextlib
@@ -187,9 +190,9 @@ def _object(value) -> dict:
 
 
 def _within(path: str, tp, value):
-    """_decode_value(tp, value), with a rejected value named under ``path``."""
+    """decode(tp, value), with a rejected value named under ``path``."""
     try:
-        return _decode_value(tp, value)
+        return decode(tp, value)
     except SettingError as exc:
         sep = "" if exc.path.startswith("[") else "."
         raise SettingError(f"{path}{sep}{exc.path}", exc.problem) from None
@@ -202,17 +205,20 @@ def _decode(cls, d):
 
     Each value is converted by its field's type hint; a missing key takes the
     field's default. A key that is not a field is rejected, except
-    ``"version"`` on a versioned document.
+    ``"version"`` on a versioned document, which must be its ``VERSION``.
     """
     types_ = _field_types(cls)
-    allowed = {"version"} if getattr(cls, "VERSION", None) is not None else set()
+    version = getattr(cls, "VERSION", None)
+    allowed = {"version"} if version is not None else set()
     unknown = sorted(set(_object(d)) - set(types_) - allowed)
     if unknown:
         raise SettingError(unknown[0], f"is an unknown {cls.__name__} key")
+    if version is not None and _within("version", int, d.get("version", version)) != version:
+        raise SettingError("version", f"must be {version}, got {d['version']!r}")
     return cls(**{k: _within(k, types_[k], v) for k, v in d.items() if k in types_})
 
 
-def _decode_value(tp, value):
+def decode(tp, value):
     """``value`` as type ``tp``. Numbers are strict: an int field takes no
     bool, string or non-integral number; a float field takes no bool or
     string, but takes an integer, which is how a whole float is written."""
@@ -221,7 +227,7 @@ def _decode_value(tp, value):
         if value is None and type(None) in args:
             return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _decode_value(tp, value)
+        return decode(tp, value)
     if dataclasses.is_dataclass(tp):
         return _decode(tp, value)
     if origin in (tuple, list):
@@ -251,8 +257,8 @@ class Document:
 
     Fields are written by name (nested dataclasses as objects, tuples and
     arrays as lists) and read back by their type hints; reading rejects
-    unknown keys. A top-level document writes
-    ``"version": VERSION``; a nested one sets ``VERSION = None`` and writes
+    unknown keys. A top-level document writes ``"version": VERSION`` and
+    reads no other; a nested one sets ``VERSION = None`` and writes
     none. Every construction checks the values each field declares with
     ``setting``, then the document's own ``check``.
     """

@@ -25,6 +25,7 @@ from collections import deque
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from . import blas, jsonio
 from .jsonio import setting
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
-
-CHECKPOINT_VERSION = 1
 
 # Elements per block of the fused Adam update. Its two scratch blocks (256 KiB
 # each) stay cache-resident, where full-length temporaries would stream
@@ -486,45 +485,43 @@ def _decode_array(s: str, shape: tuple[int, ...], name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)  # NetworkParams copies it
 
 
+@dataclass(frozen=True, kw_only=True)
+class _LayerRecord(LayerSpec):
+    """A checkpoint layer: its spec, its ``named_layers`` path, and W and b in base64."""
+
+    path: str
+    W: str
+    b: str
+
+
+@dataclass
+class _Checkpoint(jsonio.Document):
+    """A checkpoint file: its layers in ``named_layers`` order, and the writer's ``extra``."""
+
+    layers: tuple[_LayerRecord, ...]
+    extra: dict[str, Any] = field(default_factory=dict)
+
+
 def save_checkpoint(params: NetworkParams, path, extra: dict | None = None) -> None:
-    layers = []
-    for full_path, layer in params.named_layers():
-        layers.append({
-            "path": full_path,
-            **layer.spec.to_dict(),
-            "W": _encode_array(layer.W),
-            "b": _encode_array(layer.b),
-        })
-    doc = {"version": CHECKPOINT_VERSION, "layers": layers, "extra": extra or {}}
-    jsonio.dump(doc, path)
+    _Checkpoint(tuple(
+        _LayerRecord(**layer.spec.to_dict(), path=name, W=_encode_array(layer.W),
+                     b=_encode_array(layer.b))
+        for name, layer in params.named_layers()
+    ), extra or {}).save(path)
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
-    doc = jsonio.load(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"checkpoint is a JSON {type(doc).__name__}, not an object")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    doc = _Checkpoint.load(path)
     backbone: list[DenseLayer] = []
     heads: dict[str, list[DenseLayer]] = {}
-    for rec in doc["layers"]:
-        if not isinstance(rec["path"], str):
-            raise ValueError(f"checkpoint layer path {rec['path']!r} is not a string")
-        spec = LayerSpec.from_dict(
-            {k: rec[k] for k in ("in_dim", "out_dim", "activation", "dropout_rate")}
-        )
-        layer = DenseLayer(
-            W=_decode_array(rec["W"], (spec.out_dim, spec.in_dim), f"{rec['path']}.W"),
-            b=_decode_array(rec["b"], (spec.out_dim,), f"{rec['path']}.b"),
-            spec=spec,
-        )
-        group, _, _ = rec["path"].rpartition(".")
-        if group == "backbone":
-            backbone.append(layer)
-        else:
-            heads.setdefault(group, []).append(layer)
+    for rec in doc.layers:
+        spec = LayerSpec(rec.in_dim, rec.out_dim, rec.activation, rec.dropout_rate)
+        layer = DenseLayer(_decode_array(rec.W, (spec.out_dim, spec.in_dim), f"{rec.path}.W"),
+                           _decode_array(rec.b, (spec.out_dim,), f"{rec.path}.b"), spec)
+        group, _, _ = rec.path.rpartition(".")
+        (backbone if group == "backbone" else heads.setdefault(group, [])).append(layer)
     _check_chain(backbone, heads)
-    return NetworkParams(backbone=backbone, heads=heads), doc.get("extra", {})
+    return NetworkParams(backbone=backbone, heads=heads), doc.extra
 
 
 def _check_chain(backbone: list[DenseLayer], heads: dict[str, list[DenseLayer]]) -> None:

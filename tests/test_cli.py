@@ -106,6 +106,12 @@ def write_json(path, obj):
     return str(path)
 
 
+def with_report_record(manifest: dict, edit) -> dict:
+    """``manifest`` with its report stage's record replaced by ``edit(record)``."""
+    return {**manifest, "stages": {**manifest["stages"],
+                                   "report": edit(manifest["stages"]["report"])}}
+
+
 def cut_last_unit(layer: dict, path: str, dim: str) -> dict:
     """The layer at ``path`` with its last input (``dim="in_dim"``) or output
     (``"out_dim"``) unit cut, payloads included; other layers unchanged."""
@@ -351,10 +357,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["evaluate", "importance"])
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: [], "checkpoint is a JSON list, not an object"),
+        (lambda doc: [], "must be a JSON object, got []"),
         (lambda doc: {**doc, "layers": [{**doc["layers"][0], "path": 5}, *doc["layers"][1:]]},
-         "checkpoint layer path 5 is not a string"),
-    ], ids=["top-level-list", "numeric-layer-path"])
+         "layers[0].path must be a string, got 5"),
+        (lambda doc: {**doc, "version": 2}, "version must be 1, got 2"),
+    ], ids=["top-level-list", "numeric-layer-path", "other-version"])
     def test_malformed_checkpoint_json_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                                      command, edit, message):
         doc = json.loads((pipeline_dir / "ckpt_baseline.json").read_text())
@@ -612,6 +619,55 @@ class TestExitCodes:
         assert err.endswith(f"row 7, column {column!r}: {float(value)} is not finite\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("file, column, value", [
+        ("raw.csv", "precip_lag_01", "abc"),
+        ("raw.csv", "precip_lag_03", "1,5"),
+        ("responses.csv", "deoxynivalenol", " "),
+    ])
+    def test_text_in_a_numeric_cell_is_data_error_naming_it(self, pipeline_dir, tmp_path,
+                                                            capsys, file, column, value):
+        code, err = self.preprocess_damaged(pipeline_dir, tmp_path, capsys, file, column, 7,
+                                            value)
+        assert code == EXIT_DATA
+        assert err.endswith(f"{file} row 7, column {column!r}: {value!r} is not a number\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("header", ["deoxynivalenol_x", ""])
+    def test_response_missing_from_loq_is_data_error_naming_both_files(
+        self, pipeline_dir, tmp_path, capsys, header
+    ):
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        lines = (raw_dir / "responses.csv").read_text().split("\n")
+        lines[0] = lines[0].replace("deoxynivalenol", header)
+        (raw_dir / "responses.csv").write_text("\n".join(lines))
+        out = tmp_path / "out"
+        assert main(["preprocess", "--in", str(raw_dir), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.endswith(f"responses.csv has column {header!r}, which loq.json lacks\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_supersaturation_prints_nothing(self, pipeline_dir, tmp_path):
+        # the library's logger has a NullHandler, so Python's last-resort
+        # handler does not print its warning on a run that succeeds
+        raw_dir = tmp_path / "raw"
+        shutil.copytree(pipeline_dir / "raw", raw_dir)
+        with open(raw_dir / "raw.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        temp, dew = rows[0].index("temp_lag_02"), rows[0].index("dew_lag_02")
+        rows[4][dew] = repr(float(rows[4][temp]) + 1.0)
+        with open(raw_dir / "raw.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        run = subprocess.run(
+            [sys.executable, "-m", "masktab.cli", "preprocess", "--in", str(raw_dir),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(masktab.__file__).parents[1])},
+        )
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
+
     def test_out_of_range_day_names_column_and_row(self, pipeline_dir, tmp_path, capsys):
         code, err = self.preprocess_damaged(pipeline_dir, tmp_path, capsys, "raw.csv",
                                             "harvest_doy", 17, "400")
@@ -865,7 +921,9 @@ class TestStrictSettings:
         ({"hidden_dims": [0]}, "hidden_dims[0] must lie in [1, inf), got 0"),
         ({"lr": "nan"}, "lr must be a number, got 'nan'"),
         ({"loss_weights": [0, 0]}, "loss_weights must not all be 0"),
-    ], ids=["seed-string", "seed-negative", "hidden-dims-0", "lr-nan-string", "loss-weights-0"])
+        ({"version": 2}, "train config: version must be 1, got 2"),
+    ], ids=["seed-string", "seed-negative", "hidden-dims-0", "lr-nan-string", "loss-weights-0",
+            "other-version"])
     def test_bad_train_setting_is_config_error(self, pipeline_dir, tmp_path, capsys, config,
                                                named):
         cfg = write_json(tmp_path / "train.json", {**SMALL_TRAIN, **config})
@@ -1010,17 +1068,41 @@ class TestPipeline:
         assert (fresh / "manifest.json").read_bytes() == manifest_before
         assert (fresh / "report.json").read_bytes() == report_before
 
-    @pytest.mark.parametrize("garbage", [b"\xff{not json", b"[1, 2]"],
-                             ids=["not-json", "not-an-object"])
+    @pytest.mark.parametrize("damage", [
+        lambda m: b"\xff{not json",
+        lambda m: b"[1, 2]",
+        lambda m: {**m, "stages": []},
+        lambda m: with_report_record(m, lambda r: {"config": r["config"]}),
+        lambda m: with_report_record(m, lambda r: {**r, "outputs": []}),
+        lambda m: with_report_record(
+            m, lambda r: {**r, "outputs": dict.fromkeys(r["outputs"], 5)}),
+        lambda m: {**m, "version": 2},
+    ], ids=["not-json", "not-an-object", "stages-not-object", "record-without-outputs",
+            "outputs-not-object", "digest-not-string", "other-version"])
     def test_unreadable_manifest_reruns_every_stage(self, pipeline_dir, tmp_path, capsys,
-                                                    garbage):
+                                                    damage):
         out = tmp_path / "art"
         shutil.copytree(pipeline_dir, out)
-        (out / "manifest.json").write_bytes(garbage)
+        damaged = damage(json.loads((out / "manifest.json").read_text()))
+        if isinstance(damaged, dict):
+            damaged = json.dumps(damaged).encode()
+        (out / "manifest.json").write_bytes(damaged)
         cfg = write_json(tmp_path / "p.json", SMALL_PIPELINE)
         assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_OK
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable; every stage reruns" in err
+        assert (out / "manifest.json").read_bytes() == (
+            pipeline_dir / "manifest.json").read_bytes()
+
+    def test_stage_with_an_unrecorded_output_reruns(self, pipeline_dir, tmp_path):
+        out = tmp_path / "art"
+        shutil.copytree(pipeline_dir, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["stages"]["report"]["outputs"] = {}
+        write_json(out / "manifest.json", manifest)
+        (out / "report.csv").unlink()
+        run_pipeline(SMALL_PIPELINE, out)
+        assert (out / "report.csv").read_bytes() == (pipeline_dir / "report.csv").read_bytes()
         assert (out / "manifest.json").read_bytes() == (
             pipeline_dir / "manifest.json").read_bytes()
 

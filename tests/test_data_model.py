@@ -311,6 +311,26 @@ class TestCsvOracle:
         assert list(back.columns["site"]) == list(raw.columns["site"])
         assert np.array_equal(back.columns["moisture"], raw.columns["moisture"])
 
+    @pytest.mark.parametrize("loq, named", [
+        ({"tox_a": "0.5"}, "tox_a must be a number, got '0.5'"),
+        ([0.5], r"must be a JSON object, got \[0.5\]"),
+    ], ids=["string-value", "list"])
+    def test_ill_typed_loq_is_rejected_naming_it(self, tmp_path, loq, named):
+        raw = RawTable(
+            columns={"site": np.array(["s0", "s1"], dtype=object),
+                     "year": np.array(["2022"] * 2, dtype=object),
+                     "moisture": np.arange(2.0)},
+            meta=RawMeta(site_column="site", year_column="year", categorical_columns=(),
+                         continuous_columns=("moisture",)),
+            responses=np.ones((2, 1)),
+            response_names=("tox_a",),
+            loq=np.array([0.5]),
+        )
+        save_raw_table(raw, tmp_path)
+        jsonio.dump(loq, tmp_path / "loq.json")
+        with pytest.raises(ValueError, match=named):
+            load_raw_table(tmp_path)
+
     @pytest.mark.parametrize("column", [
         np.array(["x", "", None, "y,z"], dtype=object),
         np.array([1.5, math.nan, -math.inf, 0.0]),

@@ -110,6 +110,22 @@ def test_ill_typed_values_rejected(d):
         TrainConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("version, problem", [
+    (2, "must be 1, got 2"),
+    (0, "must be 1, got 0"),
+    ("1", "must be an integer, got '1'"),
+    (True, "must be an integer, got True"),
+])
+def test_versioned_document_of_another_version_rejected(version, problem):
+    with pytest.raises(jsonio.SettingError, match=f"^version {problem}$"):
+        TrainConfig.from_dict({"version": version})
+
+
+def test_versioned_document_takes_its_version_or_none():
+    assert TrainConfig.from_dict({"version": 1}) == TrainConfig.from_dict({}) == TrainConfig()
+    assert TrainConfig.from_dict({"version": 1.0}) == TrainConfig()
+
+
 def test_nested_documents_carry_no_version():
     d = DOCUMENTS[7].to_dict()
     assert "version" not in d["ae"]
