@@ -14,7 +14,6 @@ command, and run_pipeline, holds numpy's BLAS to one thread while it runs
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -68,13 +67,12 @@ def resolve_seed(configured: int) -> int:
 
 
 def _load_json(path, what: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
     try:
-        return jsonio.load(p)
-    except Exception as exc:
-        raise ConfigError(f"could not parse {what} {p}: {exc}") from exc
+        return jsonio.load(path)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"could not parse {what} {path}: {exc}") from exc
 
 
 def _require(path, what: str, hint: str, exists=Path.is_file) -> Path:
@@ -146,14 +144,10 @@ def _generate_and_save(cfg: SynthConfig, out) -> RawTable:
     return raw
 
 
-# what reading a malformed or missing input file raises
-_UNREADABLE = (IndexError, KeyError, OSError, StopIteration, TypeError, ValueError, csv.Error)
-
-
 def _preprocess_and_save(raw_dir, out, pre: PreprocessConfig, seed: int):
     try:
         raw = load_raw_table(raw_dir)
-    except _UNREADABLE as exc:
+    except ValueError as exc:
         raise DataError(f"unreadable raw table {raw_dir}: {exc}") from exc
     try:
         ds, split, report = preprocess_raw(
@@ -175,7 +169,7 @@ def _load_dataset_and_split(dataset_dir, split_path):
     split_file = _require(split_path, "split file", "run `masktab preprocess` first")
     try:
         ds, split = load_dataset(ds_dir), SplitAssignment.load(split_file)
-    except _UNREADABLE as exc:
+    except ValueError as exc:
         raise DataError(f"unreadable dataset {ds_dir} or split {split_file}: {exc}") from exc
     bad = validate(ds)
     if bad:
@@ -207,7 +201,7 @@ def _load_checkpoint(ckpt, ds) -> nn_core.NetworkParams:
     predict its responses with a ``cont`` and a ``bin`` head."""
     try:
         params, _ = nn_core.load_checkpoint(ckpt)
-    except (TypeError, ValueError) as exc:  # TypeError: a required key left out
+    except ValueError as exc:
         raise DataError(f"unreadable checkpoint {ckpt}: {exc}") from exc
     for head in ("cont", "bin"):
         if head not in params.heads:
@@ -321,22 +315,19 @@ def _written_report_files(out_dir: Path) -> dict[str, Path]:
     }
 
 
-def build_report(artifact_dir) -> tuple[dict, str]:
-    """Aggregate evaluation artifacts into the model-comparison report."""
-    art = Path(artifact_dir)
-    eval_files = sorted(art.glob("eval_*.json"))
-    if not eval_files:
-        raise DataError(f"no eval_*.json artifacts in {art} (run `masktab evaluate` first)")
+def build_report(eval_files: list[Path]) -> tuple[dict, str]:
+    """Aggregate evaluation artifacts, each ``eval_<model>.json``, into the
+    model-comparison report."""
     reports = {}
     for p in eval_files:
         try:
             reports[p.stem[len("eval_"):]] = EvalReport.load(p)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DataError(f"unreadable evaluation artifact {p}: {exc}") from exc
     try:
         ranking = winner_ranking(reports)
     except ValueError as exc:
-        raise DataError(f"cannot rank the evaluation artifacts in {art}: {exc}") from exc
+        raise DataError(f"cannot rank the evaluations in {eval_files[0].parent}: {exc}") from exc
     rows = []
     for name in sorted(reports):
         avg = reports[name].averages()
@@ -360,10 +351,11 @@ def build_report(artifact_dir) -> tuple[dict, str]:
     return aggregate, text
 
 
-def write_report(artifact_dir) -> tuple[dict, str]:
-    """Build the comparison report and write its JSON/CSV/text variants."""
-    aggregate, text = build_report(artifact_dir)
-    files = _written_report_files(Path(artifact_dir))
+def write_report(out_dir: Path, eval_files: list[Path]) -> tuple[dict, str]:
+    """Build the comparison report of ``eval_files`` and write its JSON/CSV/text
+    variants into ``out_dir``."""
+    aggregate, text = build_report(eval_files)
+    files = _written_report_files(out_dir)
     jsonio.dump(aggregate, files["json"])
     win_pct = aggregate["ranking"]["win_percentages"]
     models = aggregate["models"]
@@ -376,7 +368,11 @@ def write_report(artifact_dir) -> tuple[dict, str]:
 
 
 def cmd_report(args) -> int:
-    _, text = write_report(args.artifacts)
+    art = Path(args.artifacts)
+    eval_files = sorted(art.glob("eval_*.json"))
+    if not eval_files:
+        raise DataError(f"no eval_*.json artifacts in {art} (run `masktab evaluate` first)")
+    _, text = write_report(art, eval_files)
     print(text, end="")
     return EXIT_OK
 
@@ -414,7 +410,7 @@ def _open_manifest(path: Path, fresh: Manifest) -> Manifest:
         return fresh
     try:
         old = Manifest.load(path)
-    except (TypeError, ValueError):  # not JSON, not UTF-8, or not a manifest
+    except ValueError:  # not JSON, not UTF-8, or not a manifest
         print(f"masktab: manifest {path} is unreadable; every stage reruns", file=sys.stderr)
         return fresh
     return old if dataclasses.replace(old, stages={}, completed=()) == fresh else fresh
@@ -526,18 +522,18 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
         train_all,
     )
 
+    evals = {m: root / f"eval_{m}.json" for m in cfg.models}
+
     def evaluate_all():
         ds, split = load()
-        reports = {
-            m: _evaluate_and_save(ds, split, ckpts[m], cfg.threshold, root / f"eval_{m}.json")
-            for m in cfg.models
-        }
+        reports = {m: _evaluate_and_save(ds, split, ckpts[m], cfg.threshold, evals[m])
+                   for m in cfg.models}
         jsonio.dump(winner_ranking(reports), root / "winners.json")
 
     eval_fp = _fingerprint({"train": train_fp, "threshold": cfg.threshold})
     _run_stage(
         manifest, root, force, "evaluate", eval_fp,
-        [root / f"eval_{m}.json" for m in cfg.models] + [root / "winners.json"],
+        [*evals.values(), root / "winners.json"],
         evaluate_all,
     )
 
@@ -559,7 +555,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     rep_fp = _fingerprint({"eval": eval_fp, "imp": imp_fp})
     _run_stage(
         manifest, root, force, "report", rep_fp, list(_written_report_files(root).values()),
-        lambda: write_report(root),
+        lambda: write_report(root, sorted(evals.values())),  # the configured models' alone
     )
     return root
 

@@ -12,7 +12,6 @@ sentinel.
 """
 
 import csv
-import itertools
 import math
 import numbers
 import types
@@ -388,81 +387,50 @@ def csv_rows(columns):
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Header and a (rows, width) object array of string cells; a row whose
-    cell count differs from the header's is rejected with its file and line."""
+    """Header and a (rows, width) object array of string cells. A missing
+    header, a row whose cell count differs from the header's, a field the csv
+    module rejects and text that is not UTF-8 raise ValueError naming the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        rows = []
-        for row in r:
-            if len(row) != len(header):
-                raise ValueError(f"{path} line {r.line_num}: {len(row)} cells, "
-                                 f"the header has {len(header)}")
-            rows.append(row)
+        try:
+            header = next(r, [])
+            if not header:
+                raise ValueError(f"{path} line 1: no header")
+            rows = []
+            for row in r:
+                if len(row) != len(header):
+                    raise ValueError(f"{path} line {r.line_num}: {len(row)} cells, "
+                                     f"the header has {len(header)}")
+                rows.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {r.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # text is decoded a block at a time: no line to name
+            raise ValueError(f"{path}: {exc}") from None
         return header, np.array(rows, dtype=object).reshape(len(rows), len(header))
 
 
-def _floats(cells: np.ndarray) -> np.ndarray:
-    """String cells as float64: an empty cell is NaN, any other reads as
-    ``float`` reads it (the object cast calls ``float`` on each cell)."""
-    return np.where(cells == "", "nan", cells).astype(np.float64)
-
-
-def _text_cell_error(path, exc: ValueError, names=None) -> ValueError:
-    """``exc``, raised casting the columns ``names`` (default all) of the CSV at
-    ``path``, as the error naming the first row, then column, of a cell that
-    ``float`` does not read. It reads the file again: only a failed read pays."""
-    header, cells = _read_csv(path)
-    for i, row in enumerate(cells):
-        for name, cell in zip(header, row):
-            if cell != "" and (names is None or name in names):
-                try:
-                    float(cell)
-                except ValueError:
-                    return ValueError(f"{path} row {i}, column {name!r}: {cell!r} is not a number")
-    return exc
-
-
-def _nonblank(lines):
-    """``lines``, raising ValueError at a blank one: loadtxt would skip it,
-    where the csv path rejects it."""
-    for line in lines:
-        if not line.strip():
-            raise ValueError("blank line")
-        yield line
-
-
-def _parse_body(fh, width: int) -> np.ndarray | None:
-    """The rest of ``fh`` as a (rows, width) float matrix by numpy's C parser,
-    bit for bit what ``float`` reads from each cell; None for an empty body
-    (on which loadtxt warns), a blank line, a column count other than
-    ``width``, an empty cell, or anything else it cannot parse."""
-    first = fh.readline()
-    if not first:
-        return None
+def _floats(path, header: list[str], cells: np.ndarray) -> np.ndarray:
+    """The (rows, width) string cells of the CSV at ``path`` as float64: an
+    empty cell is NaN, any other reads as ``float`` reads it (the object cast
+    calls ``float`` on each cell). A cell it does not read is rejected naming
+    the file, the first such row (from 0 after the header), then column."""
     try:
-        m = np.loadtxt(_nonblank(itertools.chain([first], fh)), dtype=np.float64,
-                       delimiter=",", comments=None, quotechar=None, ndmin=2)
+        return np.where(cells == "", "nan", cells).astype(np.float64)
     except ValueError:
-        return None
-    return m if m.shape[1] == width else None
+        for i, row in enumerate(cells):
+            for name, cell in zip(header, row):
+                try:
+                    float(cell or "nan")
+                except ValueError:
+                    raise ValueError(f"{path} row {i}, column {name!r}: {cell!r} "
+                                     "is not a number") from None
+        raise
 
 
 def _read_matrix(path) -> tuple[list[str], np.ndarray]:
-    """Header and float matrix of a numeric CSV; an empty cell reads as NaN.
-
-    numpy's C parser reads the body as it streams. A file it does not read
-    exactly as the csv path would (an empty cell, a quoted cell, a blank line,
-    a row of another width) goes to the csv path, which is as strict as ever
-    and names the file and line of a bad row.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh))
-        matrix = _parse_body(fh, len(header))
-    if matrix is not None:
-        return header, matrix
+    """Header and float matrix of a numeric CSV; an empty cell reads as NaN."""
     header, cells = _read_csv(path)
-    return header, _floats(cells)
+    return header, _floats(path, header, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +500,13 @@ def load_raw_table(in_dir) -> RawTable:
     if absent:
         raise ValueError(f"{src / RAW_FILE} has no column {absent[0]!r}, which "
                          f"{RAW_META_FILE} names")
-    try:
-        columns = {name: _floats(col) if name in numeric else np.where(col == "", None, col)
-                   for name, col in zip(header, cells.T)}
-    except ValueError as exc:
-        raise _text_cell_error(src / RAW_FILE, exc, numeric) from None
-    try:
-        resp_header, responses = _read_matrix(src / RAW_RESPONSES_FILE)
-    except ValueError as exc:
-        raise _text_cell_error(src / RAW_RESPONSES_FILE, exc) from None
+    numbers = [j for j, name in enumerate(header) if name in numeric]
+    # one cast of the numeric columns, each then a contiguous row of its transpose
+    block = _floats(src / RAW_FILE, [header[j] for j in numbers], cells[:, numbers])
+    floats = dict(zip([header[j] for j in numbers], np.ascontiguousarray(block.T)))
+    columns = {name: floats[name] if name in numeric else np.where(col == "", None, col)
+               for name, col in zip(header, cells.T)}
+    resp_header, responses = _read_matrix(src / RAW_RESPONSES_FILE)
     if len(responses) != len(cells):
         raise ValueError(f"{src / RAW_RESPONSES_FILE} has {len(responses)} rows, "
                          f"{RAW_FILE} has {len(cells)}")

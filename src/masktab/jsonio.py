@@ -107,8 +107,12 @@ def dump(obj, path) -> None:
 
 
 def load(path):
+    """The JSON value in the file at ``path``; text too deeply nested to parse is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def loads(text: str):
@@ -196,7 +200,7 @@ def _within(path: str, tp, value):
     except SettingError as exc:
         sep = "" if exc.path.startswith("[") else "."
         raise SettingError(f"{path}{sep}{exc.path}", exc.problem) from None
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int past float
+    except (ValueError, OverflowError) as exc:  # OverflowError: int past float
         raise SettingError(path, str(exc)) from None
 
 
@@ -204,8 +208,9 @@ def _decode(cls, d):
     """Build a dataclass ``cls`` from its JSON object.
 
     Each value is converted by its field's type hint; a missing key takes the
-    field's default. A key that is not a field is rejected, except
-    ``"version"`` on a versioned document, which must be its ``VERSION``.
+    field's default, and is rejected where the field has none. A key that is
+    not a field is rejected, except ``"version"`` on a versioned document,
+    which must be its ``VERSION``.
     """
     types_ = _field_types(cls)
     version = getattr(cls, "VERSION", None)
@@ -215,6 +220,9 @@ def _decode(cls, d):
         raise SettingError(unknown[0], f"is an unknown {cls.__name__} key")
     if version is not None and _within("version", int, d.get("version", version)) != version:
         raise SettingError("version", f"must be {version}, got {d['version']!r}")
+    for f in dataclasses.fields(cls):
+        if f.name not in d and f.default is f.default_factory is dataclasses.MISSING:
+            raise SettingError(f.name, "is required")
     return cls(**{k: _within(k, types_[k], v) for k, v in d.items() if k in types_})
 
 

@@ -49,6 +49,7 @@ class EvalReport(jsonio.Document):
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        d = jsonio.decode(dict[str, object], d)  # a JSON object, or a ValueError
         return super().from_dict({k: v for k, v in d.items() if k != "averages"})
 
 

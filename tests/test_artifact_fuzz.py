@@ -3,21 +3,18 @@
 Each case damages one CSV of a small pipeline's output (truncate mid-line,
 drop a row, empty a cell, flip a byte, rename a header cell, quote a number,
 insert ``#``, or CRLF line endings) and runs the command that reads it. The
-exit code must be one of the documented ones, with no traceback. Each damaged
-numeric matrix is also read both ways: numpy's C parser, where it takes the
-file, must give the csv path's bits, and where that path fails, the same
-error. The seed and the case count are fixed; never cut them.
+exit code must be one of the documented ones, with no traceback. The damaged
+file's own reader must read it or raise a ValueError naming it. The seed and
+the case count are fixed; never cut them.
 """
 
-import csv
-import io
 import shutil
 
 import numpy as np
 import pytest
 
 from masktab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main, run_pipeline
-from masktab.data_model import _floats, _parse_body, _read_csv, _read_matrix
+from masktab.data_model import _read_csv, _read_matrix
 
 SEED = 20261019
 N_CASES = 224  # each (file, damage) pair 4 times
@@ -30,7 +27,7 @@ PIPELINE = {
     "models": ["baseline"],
     "importance": {"mode": "grouped", "repeats": 1},
 }
-# file -> whether it is a numeric matrix (read by _read_matrix)
+# file -> whether it is a numeric matrix (read by _read_matrix, the others by _read_csv)
 FILES = {
     "dataset/features.csv": True,
     "dataset/responses_cont.csv": True,
@@ -112,20 +109,6 @@ def artifacts(tmp_path_factory):
     return out
 
 
-def _csv_path(path):
-    header, cells = _read_csv(path)
-    return header, _floats(cells)
-
-
-def _outcome(read, path):
-    """What ``read`` gives for a numeric CSV: its header and matrix bits, or its error."""
-    try:
-        header, m = read(path)
-    except Exception as exc:  # compared, not judged: the CLI maps these to exit 3
-        return "error", type(exc).__name__, str(exc)
-    return "ok", header, m.shape, m.tobytes()
-
-
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_damaged_artifact_is_read_or_rejected(artifacts, tmp_path, capsys, case):
     name, damage = CASES[case]
@@ -146,23 +129,7 @@ def test_damaged_artifact_is_read_or_rejected(artifacts, tmp_path, capsys, case)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC), (name, damage, captured.err)
     assert "Traceback" not in captured.out + captured.err
 
-    if FILES[name]:
-        assert _outcome(_read_matrix, path) == _outcome(_csv_path, path), (name, damage)
-
-
-def test_c_parser_reads_some_damaged_matrices(artifacts):
-    """The equality above means something only if numpy's parser takes some
-    of the damaged files; it must take the ones whose body stays numeric."""
-    taken = []
-    for case, (name, damage) in enumerate(CASES):
-        if name not in ("dataset/features.csv", "dataset/mask.csv"):
-            continue
-        data = DAMAGES[damage]((artifacts / name).read_bytes(), np.random.default_rng([SEED, case]))
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-            try:
-                width = len(next(csv.reader(fh)))
-            except (StopIteration, ValueError):
-                continue
-            if _parse_body(fh, width) is not None:
-                taken.append(damage)
-    assert {"crlf", "drop-row", "rename-header"} <= set(taken)
+    try:  # any other exception fails the case
+        (_read_matrix if FILES[name] else _read_csv)(path)
+    except ValueError as exc:
+        assert str(path) in str(exc), (name, damage)

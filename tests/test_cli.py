@@ -361,7 +361,12 @@ class TestExitCodes:
         (lambda doc: {**doc, "layers": [{**doc["layers"][0], "path": 5}, *doc["layers"][1:]]},
          "layers[0].path must be a string, got 5"),
         (lambda doc: {**doc, "version": 2}, "version must be 1, got 2"),
-    ], ids=["top-level-list", "numeric-layer-path", "other-version"])
+        (lambda doc: {}, "layers is required"),
+        (lambda doc: {**doc, "layers": [{k: v for k, v in doc["layers"][0].items() if k != "in_dim"},
+                                        *doc["layers"][1:]]},
+         "layers[0].in_dim is required"),
+    ], ids=["top-level-list", "numeric-layer-path", "other-version", "empty-object",
+            "layer-without-in-dim"])
     def test_malformed_checkpoint_json_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                                      command, edit, message):
         doc = json.loads((pipeline_dir / "ckpt_baseline.json").read_text())
@@ -374,6 +379,23 @@ class TestExitCodes:
         ]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["ckpt.json", "split.json"])
+    def test_json_nested_too_deeply_is_data_error(self, pipeline_dir, tmp_path, capsys, name):
+        ds_dir = pipeline_dir / "dataset"
+        files = {"ckpt.json": pipeline_dir / "ckpt_baseline.json",
+                 "split.json": ds_dir / "split.json"}
+        files[name] = tmp_path / name
+        files[name].write_text("[" * 100_000)  # past the parser's recursion limit
+        out = tmp_path / "out.json"
+        assert main([
+            "evaluate", "--dataset", str(ds_dir), "--split", str(files["split.json"]),
+            "--ckpt", str(files["ckpt.json"]), "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.endswith(f"{files[name]}: JSON nested too deeply to read\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "importance"])
@@ -421,8 +443,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage, named", [
         (lambda d: (d / "mask.csv").unlink(), "mask.csv"),
-        (lambda d: (d / "features.csv").write_text(""), "dataset"),
-        (lambda d: (d / "blocks.csv").write_text("\n\n"), "dataset"),
+        (lambda d: (d / "features.csv").write_text(""), "features.csv line 1: no header"),
+        (lambda d: (d / "blocks.csv").write_text("\n\n"), "blocks.csv line 1: no header"),
     ], ids=["missing-mask", "empty-features", "blank-blocks"])
     def test_unreadable_dataset_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                               damage, named):
@@ -633,6 +655,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "importance"])
+    def test_text_in_a_features_cell_is_data_error_naming_it(self, pipeline_dir, tmp_path,
+                                                             capsys, command):
+        ds_dir = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", ds_dir)
+        with open(ds_dir / "features.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[8][2], rows[9][1] = "1.5.2", "x"  # rows 7 and 8 after the header
+        with open(ds_dir / "features.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out.json"
+        argv = [command, "--dataset", str(ds_dir), "--split", str(ds_dir / "split.json"),
+                "--out", str(out)]
+        argv += (["--model", "baseline"] if command == "train"
+                 else ["--ckpt", str(pipeline_dir / "ckpt_baseline.json")])
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.endswith(f"features.csv row 7, column {rows[0][2]!r}: '1.5.2' is not a number\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("header", ["deoxynivalenol_x", ""])
     def test_response_missing_from_loq_is_data_error_naming_both_files(
         self, pipeline_dir, tmp_path, capsys, header
@@ -738,6 +781,19 @@ class TestExitCodes:
         assert main(["report", str(tmp_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "eval_baseline.json" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("doc", [[], 5, "report", None],
+                             ids=["list", "number", "string", "null"])
+    def test_non_object_eval_artifact_is_data_error(self, pipeline_dir, tmp_path, capsys, doc):
+        for p in pipeline_dir.glob("eval_*.json"):
+            shutil.copy(p, tmp_path / p.name)
+        (tmp_path / "eval_baseline.json").write_text(json.dumps(doc))
+        assert main(["report", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("masktab report: data error: unreadable evaluation artifact ")
+        assert f"eval_baseline.json: must be a JSON object, got {doc!r}" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -1077,8 +1133,9 @@ class TestPipeline:
         lambda m: with_report_record(
             m, lambda r: {**r, "outputs": dict.fromkeys(r["outputs"], 5)}),
         lambda m: {**m, "version": 2},
+        lambda m: b"[" * 100_000,
     ], ids=["not-json", "not-an-object", "stages-not-object", "record-without-outputs",
-            "outputs-not-object", "digest-not-string", "other-version"])
+            "outputs-not-object", "digest-not-string", "other-version", "nested-too-deep"])
     def test_unreadable_manifest_reruns_every_stage(self, pipeline_dir, tmp_path, capsys,
                                                     damage):
         out = tmp_path / "art"
@@ -1195,6 +1252,86 @@ class TestPipeline:
         assert winners["total_pairs"] > 0
         assert winners["wins"] == {"baseline": winners["total_pairs"]}
         assert winners["win_percentages"] == {"baseline": 100.0}
+
+
+    @pytest.mark.parametrize("config_b", [
+        {**SMALL_PIPELINE, "models": ["baseline"]},
+        {**SMALL_PIPELINE, "importance": {"mode": "per-column", "repeats": 2}},
+    ], ids=["fewer-models", "per-column-importance"])
+    def test_a_run_leaves_no_trace_in_the_next(self, pipeline_dir, tmp_path, config_b):
+        # config B run where config A ran writes what B writes in a fresh directory
+        out, fresh = tmp_path / "art", tmp_path / "fresh"
+        shutil.copytree(pipeline_dir, out)
+        run_pipeline(config_b, out)
+        run_pipeline(config_b, fresh)
+        manifest = json.loads((fresh / "manifest.json").read_text())
+        written = ["manifest.json", *(k for rec in manifest["stages"].values()
+                                      for k in rec["outputs"])]
+        for rel in written:
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by its relative path: two equal results are
+    what ``diff -r`` calls identical trees."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+# three models at a few epochs: every stage runs, each write is quick
+TINY_PIPELINE = {
+    "seed": 5,
+    "synth": SMALL_SYNTH,
+    "train": {"hidden_dims": [24, 12], "max_epochs": 3, "patience": 3,
+              "ae": {"encoder_dims": [24, 12], "max_epochs": 3, "patience": 3}},
+    "importance": {"mode": "grouped", "repeats": 1},
+}
+TINY_RENAMES = 33  # artifact renames (os.replace) of one TINY_PIPELINE run
+
+
+class Interrupted(BaseException):
+    """A run's end at a write, as a kill would end it: no stage handler takes it."""
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "art"
+    run_pipeline(TINY_PIPELINE, out)
+    return tree_bytes(out)
+
+
+class TestResume:
+    def interrupt_at(self, monkeypatch, k: int) -> list:
+        """Raise Interrupted in place of the k-th os.replace (from 0); the
+        returned list counts the calls."""
+        real, calls = os.replace, []
+
+        def replace(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == k + 1:
+                raise Interrupted
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        return calls
+
+    def test_tiny_run_renames_each_artifact(self, tmp_path, monkeypatch, tiny_run):
+        calls = self.interrupt_at(monkeypatch, -1)
+        run_pipeline(TINY_PIPELINE, tmp_path / "art")
+        assert len(calls) == TINY_RENAMES
+        assert tree_bytes(tmp_path / "art") == tiny_run
+
+    @pytest.mark.parametrize("k", range(TINY_RENAMES))
+    def test_resume_after_interrupted_rename_matches_uninterrupted_run(
+        self, tmp_path, monkeypatch, tiny_run, k
+    ):
+        out = tmp_path / "art"
+        self.interrupt_at(monkeypatch, k)
+        with pytest.raises(Interrupted):
+            run_pipeline(TINY_PIPELINE, out)
+        monkeypatch.undo()
+        run_pipeline(TINY_PIPELINE, out)
+        assert tree_bytes(out) == tiny_run  # no temporary file either
 
 
 SHARED_PIPELINE = {**SMALL_PIPELINE, "models": ["pretrained-unfrozen", "pretrained-frozen"]}
