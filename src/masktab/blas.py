@@ -2,9 +2,9 @@
 
 masktab's commands run their numerics at one BLAS thread. The weight
 gradients ``delta.T @ x`` sum over the batch in an order that depends on the
-thread count, so only a fixed count gives the same bytes; and a threaded
-BLAS keeps its idle threads spinning on the other cores, where Adam's worker
-thread (``nn_core.adam_step``) needs one.
+thread count, so only a fixed count gives the same bytes. The pipeline forks
+children only where ``threads()`` knows the BLAS, whose pool survives a fork;
+another BLAS's threads, such as GNU OpenMP's, may not.
 
 Only the OpenBLAS that numpy's wheels bundle is known here: it sits in
 ``numpy.libs`` (``numpy/.dylibs`` on macOS) and exports its thread calls

@@ -180,6 +180,45 @@ def _load_dataset_and_split(dataset_dir, split_path):
     return ds, split
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on (macOS has no sched_getaffinity)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _side_by_side(fit, labels: list[str], failed: dict[str, BaseException]) -> None:
+    """Run ``fit(labels[0])`` here and ``fit(labels[1])``, if named, in a forked
+    child at once, and reap the child; what each raised goes into ``failed``
+    under its label, a DataError for a child that ended without a report."""
+    import pickle
+    import signal
+
+    if len(labels) > 1:
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pickles what it raises, and never unwinds into the caller's stack
+            try:
+                fit(labels[1])
+                os._exit(0)
+            except BaseException as exc:
+                with open(w, "wb") as fh:
+                    fh.write(pickle.dumps(exc))
+            finally:
+                os._exit(1)
+        os.close(w)
+    try:
+        fit(labels[0])
+    except BaseException as exc:
+        failed[labels[0]] = exc
+    if len(labels) > 1:
+        with open(r, "rb") as fh:
+            report = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if report or code:
+            failed[labels[1]] = pickle.loads(report) if report else DataError(
+                f"the {labels[1]} fit ended by signal {signal.Signals(-code).name}" if code < 0
+                else f"the {labels[1]} fit ended by exit status {code}")
+
+
 def _history_path(ckpt: Path) -> Path:
     return ckpt.parent / f"{ckpt.stem}_history.json"
 
@@ -307,12 +346,7 @@ def cmd_importance(args) -> int:
     return EXIT_OK
 
 
-def _written_report_files(out_dir: Path) -> dict[str, Path]:
-    return {
-        "json": out_dir / "report.json",
-        "csv": out_dir / "report.csv",
-        "txt": out_dir / "report_summary.txt",
-    }
+REPORT_FILES = ("report.json", "report.csv", "report_summary.txt")  # what write_report writes
 
 
 def build_report(eval_files: list[Path]) -> tuple[dict, str]:
@@ -355,14 +389,14 @@ def write_report(out_dir: Path, eval_files: list[Path]) -> tuple[dict, str]:
     """Build the comparison report of ``eval_files`` and write its JSON/CSV/text
     variants into ``out_dir``."""
     aggregate, text = build_report(eval_files)
-    files = _written_report_files(out_dir)
-    jsonio.dump(aggregate, files["json"])
+    json_file, csv_file, txt_file = (out_dir / n for n in REPORT_FILES)
+    jsonio.dump(aggregate, json_file)
     win_pct = aggregate["ranking"]["win_percentages"]
     models = aggregate["models"]
-    write_csv(files["csv"], ["model", *METRIC_NAMES, "win_pct"], csv_rows(
+    write_csv(csv_file, ["model", *METRIC_NAMES, "win_pct"], csv_rows(
         [[r[k] for r in models] for k in ("model", *METRIC_NAMES)]
         + [[win_pct[r["model"]] for r in models]]))
-    with jsonio.atomic_write(files["txt"]) as fh:
+    with jsonio.atomic_write(txt_file) as fh:
         fh.write(text)
     return aggregate, text
 
@@ -476,9 +510,10 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     root.mkdir(parents=True, exist_ok=True)
     manifest = _open_manifest(root / "manifest.json",
                               Manifest(__version__, global_seed, stage_seeds))
-    raw_dir = root / "raw"
-    ds_dir = root / "dataset"
+    raw_dir, ds_dir = root / "raw", root / "dataset"
     ckpts = {m: root / f"ckpt_{m}.json" for m in cfg.models}
+    for stale in [t for d in (root, raw_dir, ds_dir) for t in d.glob(jsonio.TEMPORARY_GLOB)]:
+        stale.unlink()
 
     # the stages that run share one parse of the dataset
     load = functools.cache(lambda: _load_dataset_and_split(ds_dir, ds_dir / "split.json"))
@@ -505,11 +540,28 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
     def train_all():
         ds, split = load()
         encoder = None
-        if pretrained:
+
+        def fit(m):
+            nonlocal encoder
+            if m != "pretrain":
+                return _train_and_save(ds, split, train_cfgs[m], m, ckpts[m], encoder=encoder)
             encoder, history = trainer.pretrain_encoder(ds, split, train_cfgs[pretrained[-1]])
             history.save(pretrain_history)
-        for m in cfg.models:
-            _train_and_save(ds, split, train_cfgs[m], m, ckpts[m], encoder=encoder)
+
+        order = ["pretrain"] * bool(pretrained) + list(cfg.models)  # the serial order
+        # a child needs a second CPU, and a BLAS whose threads survive a fork
+        if not pretrained or _cpus() < 2 or not hasattr(os, "fork") or blas.threads() is None:
+            for m in order:
+                fit(m)
+            return
+        # the baseline beside pre-training, then the frozen fit beside the
+        # unfrozen; the first failure in serial order is raised
+        failed = {}
+        for pair in (("pretrain", "baseline"), ("pretrained-unfrozen", "pretrained-frozen")):
+            if "pretrain" not in failed:
+                _side_by_side(fit, [m for m in pair if m in order], failed)
+        if failed:
+            raise next(failed[m] for m in order if m in failed)
 
     train_fp = _fingerprint({
         m: _fingerprint({"train": train_cfgs[m].to_dict(), "dataset": pre_fp, "model": m})
@@ -554,7 +606,7 @@ def run_pipeline(config: dict, out_dir, force: bool = False) -> Path:
 
     rep_fp = _fingerprint({"eval": eval_fp, "imp": imp_fp})
     _run_stage(
-        manifest, root, force, "report", rep_fp, list(_written_report_files(root).values()),
+        manifest, root, force, "report", rep_fp, [root / n for n in REPORT_FILES],
         lambda: write_report(root, sorted(evals.values())),  # the configured models' alone
     )
     return root

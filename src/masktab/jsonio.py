@@ -75,6 +75,10 @@ def dumps(obj) -> str:
     return _encode(obj, 0) + "\n"
 
 
+# the temporary files atomic_write names, which a process killed mid-write leaves
+TEMPORARY_GLOB = ".*." + "[0-9a-f]" * 16 + ".tmp"
+
+
 @contextlib.contextmanager
 def atomic_write(path):
     """A UTF-8 text file (no newline translation) that replaces ``path`` whole.

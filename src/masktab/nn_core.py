@@ -7,37 +7,25 @@ own stack). All parameters of a network live in one contiguous float64 vector
 and every layer's W and b are views into it, so the optimiser, snapshots and
 finite checks each work on one array. Everything is deterministic given an
 explicit random generator.
-
-Adam updates a network of at least ``2 * ADAM_BLOCK`` parameters on two
-threads at once, the caller's and one worker thread, where the process may run
-on two or more CPUs and numpy's BLAS runs at one thread (``blas.threads()``,
-as every masktab command holds it). The update is elementwise, so the two
-threads give the same bits as one serial pass. The worker is made on first
-use, once per process; a forked child makes its own.
 """
 
 import base64
-import functools
 import math
-import os
 import types
-from collections import deque
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from . import blas, jsonio
+from . import jsonio
 from .jsonio import setting
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 # Elements per block of the fused Adam update. Its two scratch blocks (256 KiB
 # each) stay cache-resident, where full-length temporaries would stream
-# through memory several times per step. An update of at least two blocks
-# runs on two threads at once (see adam_step).
+# through memory several times per step.
 ADAM_BLOCK = 1 << 15
 
 # Adam's moment decay rates and the denominator's guard (Kingma & Ba's defaults)
@@ -370,40 +358,31 @@ def _first_non_finite(grads: NetworkParams) -> str:
     raise AssertionError("no non-finite gradient found")
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # macOS has no sched_getaffinity
+def adam_step(
+    params: NetworkParams,
+    grads: NetworkParams,
+    state: AdamState,
+) -> tuple[NetworkParams, AdamState]:
+    """One bias-corrected Adam update, in place; returns (params, state).
 
-
-# The thread that shares the blocks of a large Adam update with the caller: one
-# per process, made on first use where the process may run on two CPUs. A
-# forked child inherits the executor but not its thread, so it clears the
-# cache and makes its own. (Racing first calls from two threads may each make
-# one; either serves, and the spare's thread exits once dropped.)
-@functools.cache
-def _adam_worker() -> ThreadPoolExecutor | None:
-    """The process's Adam worker, or None on one CPU."""
-    return ThreadPoolExecutor(1, thread_name_prefix="masktab-adam") if _cpus() >= 2 else None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_adam_worker.cache_clear)
-
-
-def _adam_blocks(p: np.ndarray, g: np.ndarray, state: AdamState,
-                 c1: float, c2: float, starts: deque) -> None:
-    """The Adam update of the ``ADAM_BLOCK`` blocks of the flat vectors whose
-    starts it takes from ``starts`` until none is left, through scratch rows
-    of its own; numpy only."""
+    The update runs over the flat vectors in blocks of ``ADAM_BLOCK``, through
+    two scratch rows, with the per-element operation order of the textbook
+    update, so results do not depend on the blocking. A non-finite gradient
+    raises before anything changes.
+    """
+    if _layout(params) != _layout(grads):
+        raise ValueError("gradient structure does not match parameters")
+    p, g = params.flat, grads.flat
+    if state.m.shape != p.shape or state.v.shape != p.shape:
+        raise ValueError("Adam state does not match parameters")
+    if not np.isfinite(g).all():
+        raise FloatingPointError(f"non-finite gradient for {_first_non_finite(grads)}")
+    state.step += 1
+    t = state.step
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.learning_rate
     scratch = np.empty((2, min(ADAM_BLOCK, p.size)))
-    while True:
-        try:
-            start = starts.popleft()  # thread-safe: one taker per block
-        except IndexError:
-            return
+    for start in range(0, p.size, ADAM_BLOCK):
         stop = min(start + ADAM_BLOCK, p.size)
         gb, mb, vb, pb = g[start:stop], state.m[start:stop], state.v[start:stop], p[start:stop]
         s, u = scratch[0, : stop - start], scratch[1, : stop - start]
@@ -424,47 +403,6 @@ def _adam_blocks(p: np.ndarray, g: np.ndarray, state: AdamState,
         np.multiply(u, lr, out=u)
         np.divide(u, s, out=u)
         np.subtract(pb, u, out=pb)
-
-
-def adam_step(
-    params: NetworkParams,
-    grads: NetworkParams,
-    state: AdamState,
-) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update, in place; returns (params, state).
-
-    The update runs over the flat vectors in blocks of ``ADAM_BLOCK``, with
-    the per-element operation order of the textbook update, so results do
-    not depend on the blocking. From ``2 * ADAM_BLOCK`` parameters on, where
-    numpy's BLAS runs at one thread, the worker thread and the caller take
-    blocks from one shared sequence until none is left, and the call returns
-    only once both are done; so a slow worker delays the call by at most the
-    block in hand. A non-finite gradient raises before anything changes.
-    """
-    if _layout(params) != _layout(grads):
-        raise ValueError("gradient structure does not match parameters")
-    p, g = params.flat, grads.flat
-    if state.m.shape != p.shape or state.v.shape != p.shape:
-        raise ValueError("Adam state does not match parameters")
-    if not np.isfinite(g).all():
-        raise FloatingPointError(f"non-finite gradient for {_first_non_finite(grads)}")
-    state.step += 1
-    t = state.step
-    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-    starts = deque(range(0, p.size, ADAM_BLOCK))
-    # a threaded BLAS's idle threads spin on the other cores, where a worker
-    # made a training step slower than none (README, "Training engine")
-    worker = (_adam_worker() if p.size >= 2 * ADAM_BLOCK and blas.threads() == 1
-              else None)
-    if worker is None:
-        _adam_blocks(p, g, state, c1, c2, starts)
-        return params, state
-    job = worker.submit(_adam_blocks, p, g, state, c1, c2, starts)
-    try:
-        _adam_blocks(p, g, state, c1, c2, starts)
-    finally:
-        if not job.cancel():  # a job not yet started has no block to finish
-            job.result()
     return params, state
 
 

@@ -95,19 +95,21 @@ def relative_humidity(T, T_d):
     return rh
 
 
-def transform_responses(raw, loq=None):
+def transform_responses(raw, loq=None, names=None):
     """Raw concentrations to (Y_cont, Y_bin, M).
 
     Below-LOQ measurements become exact zeros before the log(x+1) transform;
     presence is coded as concentration strictly greater than zero. NaN cells
-    are unmeasured: mask 0, sentinel NaN in both response matrices.
+    are unmeasured: mask 0, sentinel NaN in both response matrices. The
+    error for a negative cell names its column by ``names``, else by index.
     """
     x = np.asarray(raw, dtype=np.float64)
     mask = (~np.isnan(x)).astype(np.float64)
     observed = mask == 1.0
     if np.any(observed & (x < 0)):
-        i, k = np.argwhere(observed & (x < 0))[0]
-        raise ValueError(f"negative concentration at ({i},{k}): {x[i, k]}")
+        i, k = map(int, np.argwhere(observed & (x < 0))[0])
+        raise ValueError(f"row {i}, column {k if names is None else names[k]!r}: "
+                         f"{x[i, k]} is a negative concentration")
     vals = np.where(observed, x, 0.0)
     if loq is not None:
         loq_arr = np.asarray(loq, dtype=np.float64)
@@ -327,7 +329,7 @@ def encode_and_normalise(
     if not b.columns:
         raise ValueError("no surviving predictor columns after preprocessing")
 
-    y_cont, y_bin, mask = transform_responses(raw.responses, raw.loq)
+    y_cont, y_bin, mask = transform_responses(raw.responses, raw.loq, raw.response_names)
     ds = TabularDataset(
         X=np.column_stack(b.columns),
         Y_cont=y_cont,
@@ -643,7 +645,7 @@ def preprocess_raw(
     the encoder can learn its statistics from training rows only. A dataset
     that breaks an invariant of ``validate`` raises its first violation.
     """
-    _, y_bin, mask = transform_responses(raw.responses, raw.loq)
+    _, y_bin, mask = transform_responses(raw.responses, raw.loq, raw.response_names)
     split = split_blocks(
         raw.block_labels(), y_bin, mask,
         test_fraction=test_fraction,

@@ -3,8 +3,10 @@ import csv
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from masktab import blas, jsonio
 from masktab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     derive_seed,
     main,
@@ -24,7 +27,7 @@ from masktab.cli import (
 )
 from masktab.data_model import SplitAssignment, load_dataset
 from masktab.nn_core import load_checkpoint
-from masktab.trainer import TrainConfig, TrainHistory, pretrain_encoder
+from masktab.trainer import MODEL_KINDS, TrainConfig, TrainHistory, pretrain_encoder
 
 SMALL_SYNTH = {
     "n_samples": 70,
@@ -99,6 +102,9 @@ PLANTED_ERRORS = [
     ({"variable": "seed_moisture", "response": 4, "size": 1.0},
      "synth.planted_effects[0].response"),
 ]
+
+
+SRC = Path(masktab.__file__).parents[1]  # the directory masktab is imported from
 
 
 def write_json(path, obj):
@@ -639,6 +645,16 @@ class TestExitCodes:
                                             value)
         assert code == EXIT_DATA
         assert err.endswith(f"row 7, column {column!r}: {float(value)} is not finite\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_concentration_names_row_and_column(self, pipeline_dir, tmp_path,
+                                                          capsys):
+        code, err = self.preprocess_damaged(pipeline_dir, tmp_path, capsys, "responses.csv",
+                                            "nivalenol", 2, "-2.5")
+        assert code == EXIT_DATA
+        assert err.endswith("data error: row 2, column 'nivalenol': -2.5 is a negative "
+                            "concentration\n")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("file, column, value", [
@@ -1218,11 +1234,17 @@ class TestPipeline:
         shutil.copytree(pipeline_dir, out)
         manifest = json.loads((out / "manifest.json").read_text())
         write_json(out / "manifest.json", {**manifest, "package_version": "0.1.0"})
-        real, trained = masktab.cli.train_model, []
-        monkeypatch.setattr(masktab.cli, "train_model",
-                            lambda *a, **k: trained.append(a[3]) or real(*a, **k))
+        # a fit may run in a forked child, so each kind trained is appended to a file
+        real, trained = masktab.cli.train_model, tmp_path / "trained.txt"
+
+        def train_model(*args, **kwargs):
+            with open(trained, "a") as fh:
+                fh.write(args[3] + "\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(masktab.cli, "train_model", train_model)
         run_pipeline(SMALL_PIPELINE, out)
-        assert trained == SMALL_PIPELINE["models"]
+        assert sorted(trained.read_text().split()) == sorted(SMALL_PIPELINE["models"])
         assert (out / "manifest.json").read_bytes() == (
             pipeline_dir / "manifest.json").read_bytes()
 
@@ -1294,31 +1316,47 @@ class Interrupted(BaseException):
 
 
 @pytest.fixture(scope="module")
-def tiny_run(tmp_path_factory):
+def tiny_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny") / "art"
     run_pipeline(TINY_PIPELINE, out)
-    return tree_bytes(out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tiny_dir):
+    return tree_bytes(tiny_dir)
+
+
+def count_calls(counter: Path) -> int:
+    """Append one byte to ``counter`` and return the file's length just after
+    it: a count shared by a process and its forked children."""
+    fd = os.open(counter, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, b".")
+        return os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
 
 
 class TestResume:
-    def interrupt_at(self, monkeypatch, k: int) -> list:
-        """Raise Interrupted in place of the k-th os.replace (from 0); the
-        returned list counts the calls."""
-        real, calls = os.replace, []
+    def interrupt_at(self, monkeypatch, tmp_path, k: int) -> Path:
+        """Raise Interrupted in place of the k-th os.replace (from 0) of this
+        process and its forked children together; the returned file's length
+        counts the calls."""
+        real, counter = os.replace, tmp_path / "renames"
 
         def replace(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == k + 1:
+            if count_calls(counter) == k + 1:
                 raise Interrupted
             return real(*args, **kwargs)
 
         monkeypatch.setattr(os, "replace", replace)
-        return calls
+        return counter
 
     def test_tiny_run_renames_each_artifact(self, tmp_path, monkeypatch, tiny_run):
-        calls = self.interrupt_at(monkeypatch, -1)
+        counter = self.interrupt_at(monkeypatch, tmp_path, -1)
         run_pipeline(TINY_PIPELINE, tmp_path / "art")
-        assert len(calls) == TINY_RENAMES
+        assert counter.stat().st_size == TINY_RENAMES
         assert tree_bytes(tmp_path / "art") == tiny_run
 
     @pytest.mark.parametrize("k", range(TINY_RENAMES))
@@ -1326,12 +1364,222 @@ class TestResume:
         self, tmp_path, monkeypatch, tiny_run, k
     ):
         out = tmp_path / "art"
-        self.interrupt_at(monkeypatch, k)
+        self.interrupt_at(monkeypatch, tmp_path, k)
         with pytest.raises(Interrupted):
             run_pipeline(TINY_PIPELINE, out)
         monkeypatch.undo()
         run_pipeline(TINY_PIPELINE, out)
         assert tree_bytes(out) == tiny_run  # no temporary file either
+
+    @pytest.mark.parametrize("k", [10, TINY_RENAMES - 2])
+    def test_resume_after_a_kill_mid_write_leaves_no_temporary_file(self, tmp_path, tiny_run,
+                                                                    k):
+        # a pipeline process killed by SIGKILL in place of its k-th rename,
+        # with the k-th artifact's temporary file written (the 10th is in the
+        # dataset directory, the 32nd is a report)
+        out = tmp_path / "art"
+        script = (
+            "import json, os, signal, sys\n"
+            "from masktab.cli import run_pipeline\n"
+            "from test_cli import count_calls\n"
+            "real = os.replace\n"
+            "def replace(*args):\n"
+            f"    if count_calls({str(tmp_path / 'renames')!r}) == {k + 1}:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(*args)\n"
+            "os.replace = replace\n"
+            "run_pipeline(json.loads(sys.argv[1]), sys.argv[2])\n"
+        )
+        path = os.pathsep.join([str(SRC), str(Path(__file__).parent)])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(TINY_PIPELINE), str(out)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == -9, proc.stderr
+        assert list(out.rglob(".*.tmp"))
+        run_pipeline(TINY_PIPELINE, out)
+        assert tree_bytes(out) == tiny_run
+
+    @pytest.mark.parametrize("folder", ["", "raw", "dataset"])
+    def test_a_run_removes_stale_temporary_files_alone(self, tiny_dir, tiny_run, tmp_path,
+                                                        folder):
+        out = tmp_path / "art"
+        shutil.copytree(tiny_dir, out)
+        stale = out / folder / ".features.csv.0123456789abcdef.tmp"
+        kept = [out / folder / name for name in (".notes.tmp", ".features.csv.0123.tmp", "x.tmp")]
+        for p in [stale, *kept]:
+            p.write_text("partial")
+        run_pipeline(TINY_PIPELINE, out)
+        assert not stale.exists()
+        left_alone = {str(p.relative_to(out)): b"partial" for p in kept}
+        assert tree_bytes(out) == {**tiny_run, **left_alone}
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# the CPU counts run_pipeline is shown: one runs the train stage serially,
+# two forks its children on any machine where a fork is possible
+CPU_COUNTS = [1, 2] if hasattr(os, "fork") and blas.threads() is not None else [1]
+forks = pytest.mark.skipif(CPU_COUNTS == [1], reason="the train stage cannot fork here")
+
+
+class TestTrainStage:
+    """The train stage's fits, serially on one CPU and on two in forked
+    children: the baseline beside pre-training, the frozen fit beside the
+    unfrozen one."""
+
+    def rerun_train(self, tiny_dir, tmp_path, monkeypatch, cpus, config=TINY_PIPELINE):
+        """Exit code and artifact directory of `masktab pipeline` on a copy of
+        the tiny run without its checkpoints, so its train stage runs again."""
+        import masktab.cli
+
+        out = tmp_path / f"cpus{cpus}"
+        shutil.copytree(tiny_dir, out)
+        for ckpt in out.glob("ckpt_*.json"):
+            ckpt.unlink()
+        cfg = write_json(tmp_path / "pipeline.json", config)
+        with monkeypatch.context() as mp:
+            mp.setattr(masktab.cli, "_cpus", lambda: cpus)
+            code = main(["pipeline", "--config", cfg, "--out", str(out)])
+        assert no_child_left()
+        return code, out
+
+    @forks
+    @pytest.mark.parametrize("models, n_forks", [
+        (MODEL_KINDS, 2),
+        (("baseline", "pretrained-frozen"), 1),
+        (("pretrained-unfrozen", "pretrained-frozen"), 1),
+        (("pretrained-unfrozen",), 0),
+    ], ids=["all", "baseline+frozen", "frozen+unfrozen", "unfrozen"])
+    def test_a_fit_forks_only_beside_another(self, tmp_path, monkeypatch, models, n_forks):
+        import masktab.cli
+
+        config = {**TINY_PIPELINE, "models": list(models)}
+        real, forked = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real())
+        trees = []
+        for cpus in (1, 2):
+            with monkeypatch.context() as mp:
+                mp.setattr(masktab.cli, "_cpus", lambda: cpus)
+                run_pipeline(config, tmp_path / f"cpus{cpus}")
+            trees.append(tree_bytes(tmp_path / f"cpus{cpus}"))
+        assert len(forked) == n_forks
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("faults, models", [
+        ({"pretrain"}, None),
+        ({"baseline"}, None),
+        ({"pretrained-frozen"}, None),
+        ({"pretrained-unfrozen"}, None),
+        ({"pretrain", "baseline"}, None),
+        ({"baseline", "pretrained-frozen"}, None),
+        ({"pretrained-frozen", "pretrained-unfrozen"}, None),
+        ({"baseline", "pretrained-unfrozen"},
+         ["pretrained-unfrozen", "baseline", "pretrained-frozen"]),
+    ], ids=["pretrain", "baseline", "frozen", "unfrozen", "pretrain+baseline",
+            "baseline+frozen", "frozen+unfrozen", "unfrozen-first"])
+    def test_a_failed_fit_gives_the_serial_line_and_code(self, tiny_dir, tmp_path, monkeypatch,
+                                                         capsys, faults, models):
+        import masktab.cli
+        import masktab.trainer
+
+        config = {**TINY_PIPELINE, "models": models or list(MODEL_KINDS)}
+        real_fit, real_pretrain = masktab.cli.train_model, masktab.trainer.pretrain_encoder
+
+        def train_model(*args, **kwargs):
+            if args[3] in faults:
+                raise ValueError(f"injected into {args[3]}")
+            return real_fit(*args, **kwargs)
+
+        def pretrain_encoder(*args, **kwargs):
+            if "pretrain" in faults:
+                raise FloatingPointError("injected into pretrain")
+            return real_pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(masktab.cli, "train_model", train_model)
+        monkeypatch.setattr(masktab.trainer, "pretrain_encoder", pretrain_encoder)
+        first = next(f for f in ["pretrain", *config["models"]] if f in faults)
+        expected = ((EXIT_NUMERIC, "numerical failure: stage 'train' failed: injected into "
+                     "pretrain") if first == "pretrain" else
+                    (EXIT_DATA, f"data error: stage 'train' failed: cannot train {first} on "
+                     f"this split: injected into {first}"))
+        for cpus in CPU_COUNTS:
+            code, _ = self.rerun_train(tiny_dir, tmp_path, monkeypatch, cpus, config)
+            assert (code, capsys.readouterr().err) == (
+                expected[0], f"masktab pipeline: {expected[1]}\n"), f"{cpus} CPUs"
+
+    def test_diverging_learning_rate_is_numerical_failure(self, tiny_dir, tmp_path,
+                                                          monkeypatch, capsys):
+        config = {**TINY_PIPELINE, "train": {**TINY_PIPELINE["train"], "lr": 1e300}}
+        errs = set()
+        for cpus in CPU_COUNTS:
+            code, _ = self.rerun_train(tiny_dir, tmp_path, monkeypatch, cpus, config)
+            assert code == EXIT_NUMERIC
+            errs.add(capsys.readouterr().err)
+        assert len(errs) == 1
+        (err,) = errs
+        assert err.startswith("masktab pipeline: numerical failure: stage 'train' failed: ")
+        assert err.count("\n") == 1
+
+    @forks
+    def test_a_killed_child_is_one_line_and_the_run_resumes(self, tiny_dir, tiny_run,
+                                                             tmp_path, monkeypatch, capsys):
+        import masktab.cli
+
+        parent, real = os.getpid(), masktab.cli.train_model
+
+        def train_model(*args, **kwargs):
+            if args[3] == "baseline" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(masktab.cli, "train_model", train_model)
+        code, out = self.rerun_train(tiny_dir, tmp_path, monkeypatch, 2)
+        assert (code, capsys.readouterr().err) == (
+            EXIT_DATA, "masktab pipeline: data error: stage 'train' failed: the baseline fit "
+                       "ended by signal SIGKILL\n")
+        monkeypatch.undo()
+        run_pipeline(TINY_PIPELINE, out)
+        assert tree_bytes(out) == tiny_run
+
+    @forks
+    def test_starts_no_thread(self, tiny_dir, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, _ = self.rerun_train(tiny_dir, tmp_path, monkeypatch, 2)
+        assert code == EXIT_OK
+
+    @forks
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
+    def test_forks_from_one_os_thread_at_one_blas_thread(self, tmp_path):
+        # a fresh process, since a test that set the BLAS to two threads
+        # leaves OpenBLAS's pool alive until the next fork
+        script = (
+            "import json, os, sys\n"
+            "import masktab.cli\n"
+            "real, threads = os.fork, []\n"
+            "def fork():\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    threads.append(int(status.split('Threads:')[1].split()[0]))\n"
+            "    return real()\n"
+            "os.fork = fork\n"
+            "masktab.cli._cpus = lambda: 2\n"
+            "masktab.cli.run_pipeline(json.loads(sys.argv[1]), sys.argv[2])\n"
+            "print(threads)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(TINY_PIPELINE), str(tmp_path / "art")],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[1, 1]\n"
 
 
 SHARED_PIPELINE = {**SMALL_PIPELINE, "models": ["pretrained-unfrozen", "pretrained-frozen"]}

@@ -1,16 +1,11 @@
 import dataclasses
 import json
-import os
-import signal
-import sys
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from gradcheck import central_diff_wrt_params, flatten, max_rel_err, relu_margin, set_flat
-from masktab import blas, nn_core
+from masktab import nn_core
 from masktab.nn_core import (
     AdamState,
     DenseLayer,
@@ -528,147 +523,48 @@ def vector_params(n, seed):
     return NetworkParams(backbone=[], heads={"out": [layer]})
 
 
-class RecordingWorker:
-    """A worker of the test's own that counts the jobs it is given and runs
-    each as ``mode`` says: "pool" on a real one-thread pool, "inline" to the
-    end inside submit (the worker takes every block), or "never" (the caller
-    takes every block and cancels the job)."""
+class TestBlockedAdam:
+    """adam_step's update in blocks of ADAM_BLOCK, at sizes around the block
+    boundaries."""
 
-    def __init__(self, pool, mode="pool"):
-        self.pool, self.mode, self.jobs = pool, mode, 0
-
-    def submit(self, fn, *args):
-        self.jobs += 1
-        if self.mode == "pool":
-            return self.pool.submit(fn, *args)
-        job = Future()
-        if self.mode == "inline":
-            fn(*args)
-            job.set_result(None)
-        else:  # never started: waiting on it would hang, so it fails instead
-            job.result = lambda timeout=None: pytest.fail("waited on a job never started")
-        return job
-
-
-@pytest.fixture
-def worker_pool():
-    with ThreadPoolExecutor(1) as pool:
-        yield pool
-
-
-class TestSplitAdam:
-    """adam_step's blocks shared with the worker, as on any machine with two
-    CPUs and numpy's BLAS at one thread."""
-
-    def steps(self, n, worker_of, steps=3, params=None, blas_threads=1):
-        """Run adam_step with ``worker_of`` in place of nn_core._adam_worker
-        and ``blas_threads`` as numpy's BLAS thread count."""
+    def steps(self, n, steps=3, params=None):
         params = vector_params(n, seed=n) if params is None else params
         state = AdamState.for_params(params)
         grads = params.zeros_like()
         rng = np.random.default_rng(n + 1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nn_core, "_adam_worker", worker_of)
-            mp.setattr(blas, "threads", lambda: blas_threads)
-            for _ in range(steps):
-                grads.flat[...] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)
-                adam_step(params, grads, state)
+        for _ in range(steps):
+            grads.flat[...] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)
+            adam_step(params, grads, state)
         return params, state
 
-    @pytest.mark.parametrize("mode", ["pool", "inline", "never"])
     @pytest.mark.parametrize("n", [1, 4097, 2**15, 2**16 - 1, 2**16, 2**16 + 1,
                                    3 * 2**15 + 7, 343_984])
-    def test_bit_identical_to_serial_path(self, n, mode, worker_pool):
-        serial, serial_state = self.steps(n, lambda: None)
-        worker = RecordingWorker(worker_pool, mode)
-        split, split_state = self.steps(n, lambda: worker)
-        assert worker.jobs == (3 if n >= 2 * nn_core.ADAM_BLOCK else 0)
-        assert split_state.step == serial_state.step == 3
-        for a, b in ((split.flat, serial.flat), (split_state.m, serial_state.m),
-                     (split_state.v, serial_state.v)):
+    def test_bit_identical_to_one_block(self, n, monkeypatch):
+        blocked, blocked_state = self.steps(n)
+        monkeypatch.setattr(nn_core, "ADAM_BLOCK", n)
+        whole, whole_state = self.steps(n)
+        assert blocked_state.step == whole_state.step == 3
+        for a, b in ((blocked.flat, whole.flat), (blocked_state.m, whole_state.m),
+                     (blocked_state.v, whole_state.v)):
             assert np.array_equal(a, b)
 
-    def test_each_block_taken_once_under_fast_thread_switching(self, worker_pool):
-        serial, _ = self.steps(343_984, lambda: None, steps=20)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            split, _ = self.steps(343_984, lambda: worker_pool, steps=20)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(split.flat, serial.flat)
-
     @pytest.mark.parametrize("attr", ["W", "b"])
-    def test_non_finite_in_worker_block_raises_before_any_write(self, attr, worker_pool):
+    def test_non_finite_in_a_later_block_raises_before_any_write(self, attr):
         def head(width):
             return [DenseLayer(W=np.ones((1, width)), b=np.ones(1), spec=LayerSpec(width, 1))]
 
-        # "lower" fills [0, 40001) and "upper" [40001, 80002); the inline
-        # worker takes every block, the last one with upper.0.b among them
+        # "lower" fills [0, 40001) and "upper" [40001, 80002): three blocks,
+        # the last one with upper.0.b in it
         params = NetworkParams(backbone=[], heads={"lower": head(40000), "upper": head(40000)})
-        worker = RecordingWorker(worker_pool, "inline")
-        params, state = self.steps(params.flat.size, lambda: worker, steps=1, params=params)
+        params, state = self.steps(params.flat.size, steps=1, params=params)
         before = [a.copy() for a in (params.flat, state.m, state.v)]
         grads = params.zeros_like()
         getattr(grads.heads["upper"][0], attr).flat[-1] = np.nan
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nn_core, "_adam_worker", lambda: worker)
-            mp.setattr(blas, "threads", lambda: 1)
-            with pytest.raises(FloatingPointError, match=rf"for upper\.0\.{attr}$"):
-                adam_step(params, grads, state)
-        assert worker.jobs == 1  # the first step only
+        with pytest.raises(FloatingPointError, match=rf"for upper\.0\.{attr}$"):
+            adam_step(params, grads, state)
         assert state.step == 1
         for a, b in zip((params.flat, state.m, state.v), before):
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (2, None)],
-                             ids=["one-cpu", "threaded-blas", "unknown-blas"])
-    def test_runs_serially_and_starts_no_thread(self, monkeypatch, cpus, blas_threads):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        serial, _ = self.steps(343_984, lambda: None)
-        nn_core._adam_worker.cache_clear()
-        try:
-            monkeypatch.setattr(nn_core, "_cpus", lambda: cpus)
-            monkeypatch.setattr(threading.Thread, "start", refuse)
-            params, _ = self.steps(343_984, nn_core._adam_worker, blas_threads=blas_threads)
-            assert np.array_equal(params.flat, serial.flat)
-            assert cpus >= 2 or nn_core._adam_worker() is None
-        finally:
-            nn_core._adam_worker.cache_clear()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_makes_its_own_worker(self, monkeypatch):
-        nn_core._adam_worker.cache_clear()
-        monkeypatch.setattr(nn_core, "_cpus", lambda: 2)  # a worker on any machine
-        monkeypatch.setattr(blas, "threads", lambda: 1)
-        try:
-            params = vector_params(343_984, seed=5)
-            state = AdamState.for_params(params)
-            grads = params.zeros_like()
-            grads.flat[...] = np.random.default_rng(6).standard_normal(params.flat.size)
-            adam_step(params, grads, state)
-            parent_worker = nn_core._adam_worker()
-            assert parent_worker is not None
-            twin, twin_state = params.copy(), dataclasses.replace(
-                state, m=state.m.copy(), v=state.v.copy())
-            adam_step(twin, grads, twin_state)
-            pid = os.fork()
-            if pid == 0:  # child: a hang dies by the alarm, any error by exit code 1
-                ok = False
-                try:
-                    signal.alarm(10)
-                    adam_step(params, grads, state)
-                    ok = (np.array_equal(params.flat, twin.flat)
-                          and nn_core._adam_worker() not in (None, parent_worker))
-                finally:
-                    os._exit(0 if ok else 1)
-            _, status = os.waitpid(pid, 0)
-            assert os.WIFEXITED(status), f"child ended by signal {os.WTERMSIG(status)}"
-            assert os.WEXITSTATUS(status) == 0
-        finally:
-            nn_core._adam_worker.cache_clear()
 
 
 class TestFlatStorage:

@@ -126,6 +126,13 @@ class TestTransformResponses:
         with pytest.raises(ValueError, match="negative concentration"):
             transform_responses(np.array([[-1.0]]))
 
+    def test_negative_names_its_row_and_column(self):
+        x = np.array([[1.0, 2.0], [math.nan, -0.5]])
+        with pytest.raises(ValueError, match=r"^row 1, column 1: -0\.5 is a negative"):
+            transform_responses(x)
+        with pytest.raises(ValueError, match=r"^row 1, column 'nivalenol': -0\.5 is a negative"):
+            transform_responses(x, names=("deoxynivalenol", "nivalenol"))
+
     def test_monotone(self):
         xs = np.array([[0.0, 0.5, 1.0, 10.0, 1000.0]])
         y_cont, _, _ = transform_responses(xs)
